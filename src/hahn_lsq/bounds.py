@@ -14,7 +14,7 @@ from typing import Optional
 
 from .errors import DegreeError, DomainError, ParameterError, ThresholdError
 from .jacobi import continuous_constant
-from .specfun import RationalScalar, log_gamma
+from .specfun import RationalScalar, log_gamma, stirling_sandwich_logs
 
 _LN2 = math.log(2.0)
 
@@ -57,13 +57,10 @@ def ratio_discrete_continuous(n, N):
 
 
 def worst_case_constant(n, N, alpha):
-    """Sharp constant D_{n,N}: the Gamma block
-
-        2^{n+1} Gamma(n+2a+2) Gamma(n+a+2) / ((n+1)! Gamma(2n+2a+3) Gamma(a+1))
-
-    times the grid factor prod_{i=0}^{n}(1 - i/N).  Returned only under
-    the degree hypothesis n+1 <= n(alpha, N); outside it the constant is
-    not asserted sharp and a ThresholdError is raised.
+    """Sharp constant D_{n,N} = C_n(alpha) * prod_{i=0}^{n}(1 - i/N): the
+    continuous constant times the grid factor.  Returned only under the
+    degree hypothesis n+1 <= n(alpha, N); outside it the constant is not
+    asserted sharp and a ThresholdError is raised.
     """
     if alpha <= -0.5:
         raise ParameterError(f"constant defined for alpha > -1/2, got {alpha}")
@@ -75,18 +72,7 @@ def worst_case_constant(n, N, alpha):
             f"degree hypothesis violated: n+1={n + 1} > n(alpha,N)={threshold:.6g} "
             f"for alpha={alpha}, N={N}"
         )
-    log_block = (
-        (n + 1) * _LN2
-        + log_gamma(n + 2.0 * alpha + 2.0)
-        + log_gamma(n + alpha + 2.0)
-        - math.lgamma(n + 2.0)
-        - log_gamma(2.0 * n + 2.0 * alpha + 3.0)
-        - log_gamma(alpha + 1.0)
-    )
-    grid = 1.0
-    for i in range(1, n + 1):
-        grid *= 1.0 - i / N
-    return math.exp(log_block) * grid
+    return continuous_constant(n, alpha) * ratio_discrete_continuous(n, N)
 
 
 def simplified_constant(n, alpha):
@@ -115,12 +101,8 @@ def _alpha0_logs(n):
     if n < 0:
         raise DomainError(f"degree must be >= 0, got {n}")
     m = n + 1
-    log_fact = math.lgamma(m + 1.0)
-    log_upper = (
-        0.5 * math.log(math.pi * m) - m * _LN2 - log_fact + 1.0 / (6 * m) - 1.0 / (24 * m + 1)
-    )
+    _, log_exact, log_upper = stirling_sandwich_logs(m)
     log_slack = 2.0 / (12 * m + 1) + 1.0 / (24 * m + 1) - 1.0 / (6 * m) - 1.0 / (24 * m)
-    log_exact = m * _LN2 + log_fact - math.lgamma(2.0 * m + 1.0)
     return log_upper, log_slack, log_exact
 
 
@@ -198,6 +180,7 @@ class BoundReport:
 def bound_report(n, N, alpha):
     threshold = degree_threshold(alpha, N)
     ok = n + 1 <= threshold
+    c3, c4 = min_nodes(n, alpha)
     return BoundReport(
         n=n,
         N=N,
@@ -208,6 +191,6 @@ def bound_report(n, N, alpha):
         C=continuous_constant(n, alpha),
         ratio=ratio_discrete_continuous(n, N),
         simplified=simplified_constant(n, alpha) if n >= 1 else None,
-        node_min_c3=min_nodes(n, alpha)[0],
-        node_min_c4=min_nodes(n, alpha)[1],
+        node_min_c3=c3,
+        node_min_c4=c4,
     )

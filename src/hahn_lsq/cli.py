@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -25,18 +25,17 @@ from . import bounds as bnd
 from . import hahn, lsq, registry
 from .errors import (
     DegreeError,
-    DomainError,
+    HahnLsqError,
     InstabilityError,
-    LengthMismatchError,
     MissingDerivativeBoundError,
     ParameterError,
     ThresholdError,
 )
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_THRESHOLD = 3
-EXIT_UNSTABLE = 4
+EXIT_CONFIG = HahnLsqError.exit_code
+EXIT_THRESHOLD = ThresholdError.exit_code
+EXIT_UNSTABLE = InstabilityError.exit_code
 
 SHARPNESS_GAP_TOL = 1e-8
 
@@ -53,7 +52,6 @@ class ExperimentConfig:
     function: Optional[str] = None
     output_format: str = "csv"
     output_path: Optional[str] = None
-    seed: Optional[int] = None
 
     def resolved_beta(self):
         return self.alpha if self.beta is None else self.beta
@@ -83,43 +81,34 @@ def _parse_n_range(text):
     return lo, hi
 
 
+def _finite_float(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hahn-lsq",
         description="Least-squares approximation on equidistant grids via Hahn expansions.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("basis", "fit", "bounds", "sharpness", "convergence", "compare"):
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--alpha", type=float, default=0.0)
-        cmd.add_argument("--beta", type=float, default=None)
-        group = cmd.add_mutually_exclusive_group()
-        group.add_argument("--n", type=int, default=None)
-        group.add_argument("--n-range", type=_parse_n_range, default=None, metavar="A..B")
-        nodes_group = cmd.add_mutually_exclusive_group()
-        nodes_group.add_argument("--nodes", "--N", dest="nodes", type=int, default=None)
-        nodes_group.add_argument("--node-rule", choices=("c3", "c4"), default=None)
-        cmd.add_argument("--function", default=None)
-        cmd.add_argument("--format", dest="output_format", choices=("csv", "json"), default="csv")
-        cmd.add_argument("--out", dest="output_path", default=None)
-        cmd.add_argument("--seed", type=int, default=None)
+    parser.add_argument("command", choices=tuple(_COMMANDS))
+    parser.add_argument("--alpha", type=_finite_float, default=0.0)
+    parser.add_argument("--beta", type=_finite_float, default=None)
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--n", type=int, default=None)
+    group.add_argument("--n-range", type=_parse_n_range, default=None, metavar="A..B")
+    nodes_group = parser.add_mutually_exclusive_group()
+    nodes_group.add_argument("--nodes", "--N", dest="nodes", type=int, default=None)
+    nodes_group.add_argument("--node-rule", choices=("c3", "c4"), default=None)
+    parser.add_argument("--function", default=None)
+    parser.add_argument("--format", dest="output_format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--out", dest="output_path", default=None)
     return parser
-
-
-def _config_from_namespace(ns):
-    return ExperimentConfig(
-        command=ns.command,
-        alpha=ns.alpha,
-        beta=ns.beta,
-        n=ns.n,
-        n_range=ns.n_range,
-        nodes=ns.nodes,
-        node_rule=ns.node_rule,
-        function=ns.function,
-        output_format=ns.output_format,
-        output_path=ns.output_path,
-        seed=ns.seed,
-    )
 
 
 def _resolve_nodes(config, n, default_rule="c4"):
@@ -212,38 +201,13 @@ def cmd_fit(config):
 
 
 def cmd_bounds(config):
+    columns = [field.name for field in fields(bnd.BoundReport)]
     rows = []
     for n in config.degrees():
-        N = _resolve_nodes(config, n)
-        report = bnd.bound_report(n, N, config.alpha)
-        rows.append(
-            {
-                "n": report.n,
-                "N": report.N,
-                "alpha": report.alpha,
-                "threshold": report.threshold,
-                "hypothesis_ok": 1 if report.hypothesis_ok else 0,
-                "D": report.D,
-                "C": report.C,
-                "ratio": report.ratio,
-                "simplified": report.simplified,
-                "node_min_c3": report.node_min_c3,
-                "node_min_c4": report.node_min_c4,
-            }
-        )
-    columns = [
-        "n",
-        "N",
-        "alpha",
-        "threshold",
-        "hypothesis_ok",
-        "D",
-        "C",
-        "ratio",
-        "simplified",
-        "node_min_c3",
-        "node_min_c4",
-    ]
+        report = bnd.bound_report(n, _resolve_nodes(config, n), config.alpha)
+        row = {name: getattr(report, name) for name in columns}
+        row["hypothesis_ok"] = int(report.hypothesis_ok)
+        rows.append(row)
     return columns, rows, EXIT_OK
 
 
@@ -359,7 +323,7 @@ def _format_cell(value):
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
@@ -399,24 +363,11 @@ def main(argv=None):
         namespace = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
-    config = _config_from_namespace(namespace)
+    config = ExperimentConfig(**vars(namespace))
     try:
         text, code = run(config)
-    except (
-        ParameterError,
-        DomainError,
-        DegreeError,
-        LengthMismatchError,
-        MissingDerivativeBoundError,
-        IndexError,
-    ) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ThresholdError as exc:
-        print(f"threshold violation: {exc}", file=sys.stderr)
-        return EXIT_THRESHOLD
-    except InstabilityError as exc:
-        print(f"numerical instability: {exc}", file=sys.stderr)
-        return EXIT_UNSTABLE
+    except HahnLsqError as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
     _write_output(text, config.output_path)
     return code

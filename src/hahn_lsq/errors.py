@@ -1,12 +1,16 @@
 """Exception types shared across the package.
 
-The CLI maps these onto distinct exit codes: configuration and domain
-problems, degree-threshold violations, and numerical instability.
+Each class carries the CLI's exit code and stderr prefix for it:
+configuration and domain problems exit 2, degree-threshold violations
+3, and numerical instability 4.
 """
 
 
 class HahnLsqError(Exception):
     """Base class for package-specific errors."""
+
+    exit_code = 2
+    prefix = "configuration error"
 
 
 class DomainError(HahnLsqError, ValueError):
@@ -32,6 +36,9 @@ class ThresholdError(HahnLsqError, ValueError):
     so callers get an error rather than an unasserted number.
     """
 
+    exit_code = 3
+    prefix = "threshold violation"
+
 
 class MissingDerivativeBoundError(HahnLsqError, LookupError):
     """A derivative sup bound was required but the function spec has none."""
@@ -39,6 +46,9 @@ class MissingDerivativeBoundError(HahnLsqError, LookupError):
 
 class InstabilityError(HahnLsqError, RuntimeError):
     """A numerical path produced unusable output (ill-conditioning, overflow)."""
+
+    exit_code = 4
+    prefix = "numerical instability"
 
 
 class NumericalRangeWarning(UserWarning):

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     DegreeError,
     DomainError,
+    InstabilityError,
     LengthMismatchError,
     NumericalRangeWarning,
     ParameterError,
@@ -102,6 +103,18 @@ class DiscreteWeight:
         return cls(params, vals)
 
 
+def _hahn_series(n, x, a, b, N):
+    """Exact sum_k (-n)_k (n+a+b+1)_k (-x)_k / ((a+1)_k (-N)_k k!) for
+    rational (or integer) x, a, b."""
+    term = RationalScalar(1)
+    total = RationalScalar(1)
+    for k in range(n):
+        term = term * ((k - n) * (n + a + b + 1 + k) * (k - x))
+        term = term / ((a + 1 + k) * (k - N) * (k + 1))
+        total += term
+    return total
+
+
 def hahn_eval(n, x, params):
     """Q_n(x) as the terminating hypergeometric sum
 
@@ -118,30 +131,14 @@ def hahn_eval(n, x, params):
     _check_range(n, params.N)
     a = RationalScalar(params.alpha)
     b = RationalScalar(params.beta)
-    xq = RationalScalar(float(x))
-    N = params.N
-    term = RationalScalar(1)
-    total = RationalScalar(1)
-    for k in range(n):
-        term = term * ((k - n) * (n + a + b + 1 + k) * (k - xq))
-        term = term / ((a + 1 + k) * (k - N) * (k + 1))
-        total += term
-    return float(total)
+    return float(_hahn_series(n, RationalScalar(float(x)), a, b, params.N))
 
 
 def hahn_eval_exact(n, x, alpha, beta, N):
     """Exact-rational Q_n(x) for integer alpha, beta >= 0 (oracle path)."""
     _require_integer_exponents(alpha, beta)
     _check_degree(n, N)
-    a, b = int(alpha), int(beta)
-    x = RationalScalar(x)
-    term = RationalScalar(1)
-    total = RationalScalar(1)
-    for k in range(n):
-        term = term * (k - n) * (n + a + b + 1 + k) * (k - x)
-        term = term / ((a + 1 + k) * (k - N) * (k + 1))
-        total += term
-    return total
+    return _hahn_series(n, RationalScalar(x), int(alpha), int(beta), N)
 
 
 def hahn_table(n_max, xs, params):
@@ -190,7 +187,10 @@ def hahn_norm_sq(k, params):
     log6, s6 = log_pochhammer(float(-N), k)
     log7 = math.lgamma(N + 1.0)
     sign = (-1) ** k * s1 * s2 * s5 * s6 * (1 if d4 > 0 else -1)
-    return sign * math.exp(log1 + log2 + log3 - math.log(abs(d4)) - log5 - log6 - log7)
+    try:
+        return sign * math.exp(log1 + log2 + log3 - math.log(abs(d4)) - log5 - log6 - log7)
+    except OverflowError as exc:
+        raise InstabilityError(f"norm of Q_{k} overflows for alpha={a}, beta={b}, N={N}") from exc
 
 
 def hahn_norm_sq_exact(k, alpha, beta, N):

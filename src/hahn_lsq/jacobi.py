@@ -95,7 +95,8 @@ def continuous_constant(n, alpha):
         C_n = 2^{n+1} Gamma(n+alpha+2) Gamma(n+2 alpha+2)
               / ((n+1)! Gamma(2n+2 alpha+3) Gamma(alpha+1)).
 
-    The large-N limit of the discrete constant for the symmetric weight.
+    The large-N limit of the discrete constant for the symmetric weight;
+    bounds.worst_case_constant is this times the grid factor.
     """
     if alpha < -0.5:
         raise ParameterError(f"constant defined for alpha >= -1/2, got {alpha}")
@@ -103,8 +104,8 @@ def continuous_constant(n, alpha):
         raise DomainError(f"degree must be >= 0, got {n}")
     return math.exp(
         (n + 1) * _LN2
-        + log_gamma(n + alpha + 2.0)
         + log_gamma(n + 2.0 * alpha + 2.0)
+        + log_gamma(n + alpha + 2.0)
         - math.lgamma(n + 2.0)
         - log_gamma(2.0 * n + 2.0 * alpha + 3.0)
         - log_gamma(alpha + 1.0)

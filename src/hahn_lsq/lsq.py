@@ -98,20 +98,29 @@ def _grid_sum(values):
         raise InstabilityError(f"overflow in weighted grid sum: {exc}") from exc
 
 
-def fit_hahn(f, n, params):
-    """Least-squares coefficients c_k = <f, Q_k>_omega / <Q_k, Q_k>_omega
-    for k = 0..n, from samples on the equidistant grid."""
+def _weighted_samples(f, n, params):
+    """Grid nodes, samples of f and weight values for a degree-n fit."""
     N = params.N
     if n < 0 or n > N:
         raise DegreeError(f"fit degree must satisfy 0 <= n <= N={N}, got {n}")
     ts = grid_points(N)
-    fs = _sample(f, ts)
-    w = hahn.DiscreteWeight.from_params(params).values
-    table = hahn.hahn_table(n, np.arange(N + 1, dtype=float), params)
+    return ts, _sample(f, ts), hahn.DiscreteWeight.from_params(params).values
+
+
+def _project(values, n, params, w):
+    """Approximant with c_k = <values, Q_k>_omega / <Q_k, Q_k>_omega, k = 0..n."""
+    table = hahn.hahn_table(n, np.arange(params.N + 1, dtype=float), params)
     coefficients = tuple(
-        _grid_sum(fs * table[k] * w) / hahn.hahn_norm_sq(k, params) for k in range(n + 1)
+        _grid_sum(values * table[k] * w) / hahn.hahn_norm_sq(k, params) for k in range(n + 1)
     )
     return Approximant(params, n, coefficients)
+
+
+def fit_hahn(f, n, params):
+    """Least-squares coefficients c_k = <f, Q_k>_omega / <Q_k, Q_k>_omega
+    for k = 0..n, from samples on the equidistant grid."""
+    _, fs, w = _weighted_samples(f, n, params)
+    return _project(fs, n, params, w)
 
 
 def _cholesky_solve(L, rhs):
@@ -143,12 +152,7 @@ def fit_normal_equations(f, n, params):
     1e12 (monomial basis at large degree); the Hahn path is then
     authoritative.
     """
-    N = params.N
-    if n < 0 or n > N:
-        raise DegreeError(f"fit degree must satisfy 0 <= n <= N={N}, got {n}")
-    ts = grid_points(N)
-    fs = _sample(f, ts)
-    w = hahn.DiscreteWeight.from_params(params).values
+    ts, fs, w = _weighted_samples(f, n, params)
     V = np.vander(ts, n + 1, increasing=True)
     G = np.empty((n + 1, n + 1))
     rhs = np.empty(n + 1)
@@ -172,12 +176,7 @@ def fit_normal_equations(f, n, params):
         mono = mono + correction
         if np.max(np.abs(correction)) <= 1e-16 * max(1.0, np.max(np.abs(mono))):
             break
-    fitted = V @ mono
-    table = hahn.hahn_table(n, np.arange(N + 1, dtype=float), params)
-    coefficients = tuple(
-        _grid_sum(fitted * table[k] * w) / hahn.hahn_norm_sq(k, params) for k in range(n + 1)
-    )
-    return Approximant(params, n, coefficients)
+    return _project(V @ mono, n, params, w)
 
 
 def evaluate(a, t):

@@ -2,10 +2,10 @@
 
 Everything here is deliberately written from first principles, without
 importing the package internals it is used to check: exact rational
-weights, series evaluation and least squares via Fraction arithmetic,
-a Chebyshev-series lower bound on the best uniform approximation of
-exp, and two classical quadrature rules for the continuous inner
-products.
+weights, series evaluation, least squares and the worst-case constants
+via Fraction arithmetic, a Chebyshev-series lower bound on the best
+uniform approximation of exp, and two classical quadrature rules for
+the continuous inner products.
 """
 
 import math
@@ -133,6 +133,27 @@ def exp_best_approx_lower(n):
     K = n + 2
     tail_high = next_high * Fraction(2 * (K + 1), 2 * K + 1)
     return 2 * lead_low - 2 * tail_high
+
+
+def frac_continuous_constant(n, alpha):
+    """C_n(alpha) = 2^{n+1} (alpha+1)_{n+1} / ((n+1)! (n+2alpha+2)_{n+1}),
+    the Gamma block of the worst-case constant written as rising
+    factorials.  Exact for any dyadic alpha, which every double is."""
+    a = Fraction(alpha)
+    num = Fraction(2 ** (n + 1))
+    den = Fraction(math.factorial(n + 1))
+    for i in range(n + 1):
+        num *= a + 1 + i
+        den *= n + 2 * a + 2 + i
+    return num / den
+
+
+def frac_worst_case_constant(n, N, alpha):
+    """D_{n,N} = C_n(alpha) * prod_{i=1}^{n} (1 - i/N), exactly."""
+    grid = Fraction(1)
+    for i in range(1, n + 1):
+        grid *= 1 - Fraction(i, N)
+    return frac_continuous_constant(n, alpha) * grid
 
 
 def gauss_legendre_inner(f, g, degree_bound):

@@ -98,15 +98,19 @@ def test_criterion_03_upper_bound():
 
 def test_criterion_04_factorization_identity():
     with criterion(4, "discrete constant factorization"):
-        for alpha in (0.0, 0.5, 1.0, 2.0):
-            for n in range(0, 21):
+        # the library computes D as C times the grid factor, so both are
+        # checked against the exact rational factorial form instead
+        for alpha in (-0.25, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0):
+            for n in range(0, 41):
+                C = jacobi.continuous_constant(n, alpha)
+                exact = oracles.frac_continuous_constant(n, alpha)
+                assert C == pytest.approx(float(exact), rel=1e-12)
                 for N in (2 * n * (n + 1), 10 * n * n):
                     if N < n + 1 or not bounds.hypothesis_holds(n, N, alpha):
                         continue
                     D = bounds.worst_case_constant(n, N, alpha)
-                    C = jacobi.continuous_constant(n, alpha)
-                    grid = bounds.ratio_discrete_continuous(n, N)
-                    assert D == pytest.approx(C * grid, rel=1e-12)
+                    exact = oracles.frac_worst_case_constant(n, N, alpha)
+                    assert D == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_criterion_05_alpha0_sandwich():

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -90,6 +91,11 @@ class TestConfig:
         assert config.resolved_beta() == 0.5
         assert config.params_for(6).beta == 0.5
 
+    def test_options_may_precede_the_command(self, capsys):
+        _, first, _ = run_cli(["bounds", "--alpha", "0.5", "--n-range", "1..4"], capsys)
+        _, second, _ = run_cli(["--alpha", "0.5", "--n-range", "1..4", "bounds"], capsys)
+        assert first == second
+
 
 class TestExitCodes:
     def test_missing_subcommand(self, capsys):
@@ -137,6 +143,27 @@ class TestExitCodes:
         assert code == 4
         assert "numerical instability" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "args,status,prefix",
+        [
+            (["bounds", "--alpha", "nan", "--n", "2"], 2, "hahn-lsq: error: argument --alpha"),
+            (["bounds", "--alpha", "inf", "--n", "2"], 2, "hahn-lsq: error: argument --alpha"),
+            (["compare", "--alpha", "nan", "--n", "2"], 2, "hahn-lsq: error: argument --alpha"),
+            (
+                ["fit", "--function", "exp", "--alpha", "150", "--nodes", "3000", "--n", "4"],
+                4,
+                "numerical instability: ",
+            ),
+        ],
+        ids=["bounds-alpha-nan", "bounds-alpha-inf", "compare-alpha-nan", "fit-norm-overflow"],
+    )
+    def test_unusable_input_exits_with_documented_code(self, args, status, prefix, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == status
+        assert err.splitlines()[-1].startswith(prefix)
+        assert "nan" not in out
+
     def test_distinct_statuses(self):
         assert len({cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_THRESHOLD, cli.EXIT_UNSTABLE}) == 4
 
@@ -174,6 +201,23 @@ class TestBasisCommand:
             ["basis", "--alpha", "0", "--beta", "1", "--nodes", "4", "--n", "1"], capsys
         )
         assert not any(r["kind"] == "normalized" for r in csv_rows(out))
+
+    def test_csv_cells_read_back_as_the_json_values(self, capsys):
+        args = ["basis", "--alpha", "0.5", "--nodes", "6", "--n", "3"]
+        _, csv_out, _ = run_cli(args, capsys)
+        _, json_out, _ = run_cli(args + ["--format", "json"], capsys)
+        rows = csv_rows(csv_out)
+        expected = json.loads(json_out)["rows"]
+        assert len(rows) == len(expected)
+        assert any(r["kind"] == "normalized" for r in rows)
+        for got, want in zip(rows, expected):
+            for key, value in want.items():
+                if value is None:
+                    assert got[key] == ""
+                elif isinstance(value, str):
+                    assert got[key] == value
+                else:
+                    assert float(got[key]) == value
 
     def test_nodes_required(self, capsys):
         code, _, err = run_cli(["basis", "--alpha", "0", "--n", "2"], capsys)
@@ -362,6 +406,7 @@ class TestEmission:
         assert payload["config"]["command"] == "compare"
         assert payload["config"]["alpha"] == 0.5
         assert payload["config"]["nodes"] == 40
+        assert "seed" not in payload["config"]
         assert payload["columns"] == ["rule", "n", "N", "D", "C", "ratio"]
 
     def test_out_file_bytes(self, tmp_path, capsys):
@@ -385,8 +430,13 @@ class TestEmission:
         assert first == second
 
     def test_subprocess_determinism(self, tmp_path):
+        # the child imports the same checkout as this process
+        paths = [str(pathlib.Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
         cmd = [sys.executable, "-m", "hahn_lsq", "compare", "--alpha", "1",
                "--n-range", "1..6", "--node-rule", "c3"]
-        runs = [subprocess.run(cmd, capture_output=True, check=True).stdout for _ in range(2)]
+        runs = [
+            subprocess.run(cmd, capture_output=True, check=True, env=env).stdout for _ in range(2)
+        ]
         assert runs[0] == runs[1]
         assert b"\r" not in runs[0]
