@@ -14,7 +14,7 @@ from typing import Optional
 
 from .errors import DegreeError, DomainError, ParameterError, ThresholdError
 from .jacobi import continuous_constant
-from .specfun import RationalScalar, log_gamma, stirling_sandwich_logs
+from .specfun import RationalScalar, log_gamma, require_normal, stirling_sandwich_logs
 
 _LN2 = math.log(2.0)
 
@@ -60,7 +60,8 @@ def worst_case_constant(n, N, alpha):
     """Sharp constant D_{n,N} = C_n(alpha) * prod_{i=0}^{n}(1 - i/N): the
     continuous constant times the grid factor.  Returned only under the
     degree hypothesis n+1 <= n(alpha, N); outside it the constant is not
-    asserted sharp and a ThresholdError is raised.
+    asserted sharp and a ThresholdError is raised.  A D below the smallest
+    normal double raises an InstabilityError.
     """
     if alpha <= -0.5:
         raise ParameterError(f"constant defined for alpha > -1/2, got {alpha}")
@@ -72,7 +73,8 @@ def worst_case_constant(n, N, alpha):
             f"degree hypothesis violated: n+1={n + 1} > n(alpha,N)={threshold:.6g} "
             f"for alpha={alpha}, N={N}"
         )
-    return continuous_constant(n, alpha) * ratio_discrete_continuous(n, N)
+    value = continuous_constant(n, alpha) * ratio_discrete_continuous(n, N)
+    return require_normal(value, "D_{},{} at alpha={!r}", n, N, alpha)
 
 
 def simplified_constant(n, alpha):
@@ -81,13 +83,14 @@ def simplified_constant(n, alpha):
         sqrt(pi n)/(2^{n+1} (n+1)!) * n^alpha/(Gamma(alpha+1) 4^alpha).
 
     Asymptotic in n; the quotient against worst_case_constant at node
-    counts growing faster than n^2 tends to 1 like 1 + O(1/n).
+    counts growing faster than n^2 tends to 1 like 1 + O(1/n).  A value
+    below the smallest normal double raises an InstabilityError.
     """
     if n < 1:
         raise DomainError(f"simplified constant needs n >= 1, got {n}")
     if alpha <= -0.5:
         raise ParameterError(f"constant defined for alpha > -1/2, got {alpha}")
-    return math.exp(
+    value = math.exp(
         0.5 * math.log(math.pi * n)
         - (n + 1) * _LN2
         - math.lgamma(n + 2.0)
@@ -95,6 +98,7 @@ def simplified_constant(n, alpha):
         - log_gamma(alpha + 1.0)
         - 2.0 * alpha * _LN2
     )
+    return require_normal(value, "simplified constant at n={}, alpha={!r}", n, alpha)
 
 
 def _alpha0_logs(n):

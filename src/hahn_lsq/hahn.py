@@ -6,6 +6,7 @@ on [-1,1].  Float paths use compensated summation; the _exact variants
 are rational twins for the small-parameter oracle tests.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -98,7 +99,12 @@ class DiscreteWeight:
 
     @classmethod
     def from_params(cls, params):
-        vals = np.array([weight(i, params) for i in range(params.N + 1)])
+        # omega(i) = left[i] * right[N - i]: one binomial per node and side,
+        # and one side only when the weight is symmetric
+        N = params.N
+        left = [gen_binomial(params.alpha, i) for i in range(N + 1)]
+        right = left if params.symmetric else [gen_binomial(params.beta, i) for i in range(N + 1)]
+        vals = np.array(left) * np.array(right[::-1])
         vals.flags.writeable = False
         return cls(params, vals)
 
@@ -141,6 +147,24 @@ def hahn_eval_exact(n, x, alpha, beta, N):
     return _hahn_series(n, RationalScalar(x), int(alpha), int(beta), N)
 
 
+@functools.lru_cache(maxsize=128, typed=True)
+def _recurrence_coefficients(n_max, a, b, N):
+    """Forward coefficients (A_k, C_k), k = 1..n_max-1, of
+
+        A_k Q_{k+1}(x) = (A_k + C_k - x) Q_k(x) - C_k Q_{k-1}(x).
+
+    Cached, because the golden-section polish evaluates one family at
+    a few dozen single points in a row.
+    """
+    coefficients = []
+    for k in range(1, n_max):
+        s = a + b + 2.0 * k
+        A = (k + a + b + 1.0) * (k + a + 1.0) * (N - k) / ((s + 1.0) * (s + 2.0))
+        C = k * (k + a + b + N + 1.0) * (k + b) / (s * (s + 1.0))
+        coefficients.append((A, C))
+    return tuple(coefficients)
+
+
 def hahn_table(n_max, xs, params):
     """Q_0..Q_{n_max} at the points xs, shape (n_max+1, len(xs)).
 
@@ -156,11 +180,25 @@ def hahn_table(n_max, xs, params):
     out[0] = 1.0
     if n_max >= 1:
         out[1] = 1.0 - xs * (a + b + 2.0) / ((a + 1.0) * N)
-    for k in range(1, n_max):
-        s = a + b + 2.0 * k
-        A = (k + a + b + 1.0) * (k + a + 1.0) * (N - k) / ((s + 1.0) * (s + 2.0))
-        C = k * (k + a + b + N + 1.0) * (k + b) / (s * (s + 1.0))
+    for k, (A, C) in enumerate(_recurrence_coefficients(n_max, a, b, N), start=1):
         out[k + 1] = ((A + C - xs) * out[k] - C * out[k - 1]) / A
+    return out
+
+
+def _hahn_column(n_max, x, params):
+    """Q_0..Q_{n_max} at one float x, as a list.
+
+    The recurrence of hahn_table in plain floats, with the same
+    operations in the same order, so each value is bit-identical to the
+    matching hahn_table entry without the per-call cost of numpy on a
+    one-point table.  No degree or range checks: callers have done them.
+    """
+    a, b, N = params.alpha, params.beta, float(params.N)
+    out = [1.0]
+    if n_max >= 1:
+        out.append(1.0 - x * (a + b + 2.0) / ((a + 1.0) * N))
+    for A, C in _recurrence_coefficients(n_max, a, b, N):
+        out.append(((A + C - x) * out[-1] - C * out[-2]) / A)
     return out
 
 

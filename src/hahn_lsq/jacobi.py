@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .specfun import gen_binomial, log_gamma, pochhammer
+from .specfun import gen_binomial, log_gamma, pochhammer, require_normal
 
 _LN2 = math.log(2.0)
 
@@ -96,13 +96,14 @@ def continuous_constant(n, alpha):
               / ((n+1)! Gamma(2n+2 alpha+3) Gamma(alpha+1)).
 
     The large-N limit of the discrete constant for the symmetric weight;
-    bounds.worst_case_constant is this times the grid factor.
+    bounds.worst_case_constant is this times the grid factor.  Raises an
+    InstabilityError where C_n falls below the smallest normal double.
     """
     if alpha < -0.5:
         raise ParameterError(f"constant defined for alpha >= -1/2, got {alpha}")
     if n < 0:
         raise DomainError(f"degree must be >= 0, got {n}")
-    return math.exp(
+    value = math.exp(
         (n + 1) * _LN2
         + log_gamma(n + 2.0 * alpha + 2.0)
         + log_gamma(n + alpha + 2.0)
@@ -110,3 +111,4 @@ def continuous_constant(n, alpha):
         - log_gamma(2.0 * n + 2.0 * alpha + 3.0)
         - log_gamma(alpha + 1.0)
     )
+    return require_normal(value, "C_{} at alpha={!r}", n, alpha)

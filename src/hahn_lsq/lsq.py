@@ -180,13 +180,18 @@ def fit_normal_equations(f, n, params):
 
 
 def evaluate(a, t):
-    """Evaluate sum_k c_k Q_k(N(1+t)/2) at t (scalar or array)."""
+    """Evaluate sum_k c_k Q_k(N(1+t)/2) at t (scalar or array).
+
+    A scalar t takes the plain-float recurrence; its values, and the
+    matrix product that sums them, are those of a one-point table.
+    """
     arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
-    xs = a.params.N * (1.0 + np.atleast_1d(arr).ravel()) / 2.0
+    if arr.ndim == 0:
+        column = hahn._hahn_column(a.degree, a.params.N * (1.0 + float(arr)) / 2.0, a.params)
+        return float((np.asarray(a.coefficients) @ np.array(column)[:, None])[0])
+    xs = a.params.N * (1.0 + arr.ravel()) / 2.0
     table = hahn.hahn_table(a.degree, xs, a.params)
-    vals = np.asarray(a.coefficients) @ table
-    return float(vals[0]) if scalar else vals.reshape(arr.shape)
+    return (np.asarray(a.coefficients) @ table).reshape(arr.shape)
 
 
 _candidate_cache = None
@@ -287,10 +292,10 @@ def extremal_function(n, params):
 
     def evaluator(t):
         arr = np.asarray(t, dtype=float)
-        scalar = arr.ndim == 0
-        xs = N * (1.0 + np.atleast_1d(arr).ravel()) / 2.0
-        vals = front * hahn.hahn_table(n + 1, xs, params)[n + 1]
-        return float(vals[0]) if scalar else vals.reshape(arr.shape)
+        if arr.ndim == 0:
+            return front * hahn._hahn_column(n + 1, N * (1.0 + float(arr)) / 2.0, params)[n + 1]
+        xs = N * (1.0 + arr.ravel()) / 2.0
+        return (front * hahn.hahn_table(n + 1, xs, params)[n + 1]).reshape(arr.shape)
 
     def derivative_sup(order):
         if order == n + 1:

@@ -7,9 +7,10 @@ scalars; the array-heavy code lives in the polynomial modules.
 """
 
 import math
+import sys
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, InstabilityError
 
 # Exact-arithmetic scalar for the rational oracle paths (integer alpha,
 # beta, small N).  Arbitrary precision, normalized gcd, positive
@@ -17,6 +18,7 @@ from .errors import DomainError
 RationalScalar = Fraction
 
 _LN2 = math.log(2.0)
+_MIN_NORMAL = sys.float_info.min
 
 
 def log_gamma(x):
@@ -81,6 +83,22 @@ def gen_binomial(a, k):
     if k == 0:
         return 1.0
     return math.exp(math.lgamma(a + k + 1.0) - math.lgamma(k + 1.0) - math.lgamma(a + 1.0))
+
+
+def require_normal(value, what, *args):
+    """value, unless it lies below the smallest normal double.
+
+    For a positive constant that means the exponent range has run out:
+    a subnormal keeps only a few bits and zero keeps none, so an
+    InstabilityError is raised rather than a number returned.  The
+    message is what.format(*args), built only when raising.
+    """
+    if value < _MIN_NORMAL:
+        raise InstabilityError(
+            f"{what.format(*args)} = {value!r} underflows below the smallest "
+            f"normal double {_MIN_NORMAL!r}"
+        )
+    return value
 
 
 def stirling_sandwich_logs(n):

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,16 @@ class TestWorstCaseConstant:
         with pytest.raises(errors.ThresholdError):
             bounds.worst_case_constant(2, 4, 0.0)
 
+    def test_underflow_raises(self):
+        # C_151(3) = 3.0e-308 is normal; on the c3 grid the grid factor
+        # 0.18 takes D below the smallest normal double
+        N = bounds.min_nodes(151, 3.0)[0]
+        assert jacobi.continuous_constant(151, 3.0) >= sys.float_info.min
+        assert bounds.hypothesis_holds(151, N, 3.0)
+        with pytest.raises(errors.InstabilityError, match=f"D_151,{N} at alpha=3.0"):
+            bounds.worst_case_constant(151, N, 3.0)
+        assert bounds.worst_case_constant(151, 2 * 151 * 152, 3.0) >= sys.float_info.min
+
 
 class TestSimplifiedConstant:
     def test_frozen_formulas(self):
@@ -88,6 +99,11 @@ class TestSimplifiedConstant:
     def test_degree_zero_rejected(self):
         with pytest.raises(errors.DomainError):
             bounds.simplified_constant(0, 0.0)
+
+    def test_underflow_raises(self):
+        assert bounds.simplified_constant(149, 0.5) >= sys.float_info.min
+        with pytest.raises(errors.InstabilityError, match="simplified constant"):
+            bounds.simplified_constant(150, 0.5)
 
     def test_tracks_constant_on_quadratic_grids(self):
         """On N = 2n(n+1) the full constant stays within a factor 2."""

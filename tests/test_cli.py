@@ -164,6 +164,24 @@ class TestExitCodes:
         assert err.splitlines()[-1].startswith(prefix)
         assert "nan" not in out
 
+    @pytest.mark.parametrize("command", ["bounds", "compare"])
+    def test_constants_below_the_normal_range_exit_unstable(self, command, capsys):
+        # at alpha = 0.5, C_150 = 6.2e-309 is subnormal; from n = 156 the
+        # old output read D = C = 5e-324 next to a ratio of 0.7786
+        code, out, err = run_cli([command, "--alpha", "0.5", "--n-range", "150..157"], capsys)
+        assert code == 4
+        assert out == ""
+        assert err.splitlines()[-1].startswith("numerical instability: C_150 ")
+
+    @pytest.mark.parametrize("command", ["bounds", "compare"])
+    def test_constants_at_the_edge_of_the_normal_range_are_printed(self, command, capsys):
+        code, out, _ = run_cli([command, "--alpha", "0.5", "--n-range", "146..149"], capsys)
+        assert code == 0
+        names = ("D", "C", "simplified")
+        cells = [float(row[name]) for row in csv_rows(out) for name in names if name in row]
+        assert len(cells) == {"bounds": 12, "compare": 16}[command]
+        assert min(cells) >= sys.float_info.min
+
     def test_distinct_statuses(self):
         assert len({cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_THRESHOLD, cli.EXIT_UNSTABLE}) == 4
 

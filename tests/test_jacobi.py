@@ -151,6 +151,13 @@ class TestContinuousConstant:
             vals = [jacobi.continuous_constant(n, alpha) for n in range(12)]
             assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    def test_underflow_raises(self):
+        assert jacobi.continuous_constant(149, 0.5) == pytest.approx(1.8517578e-306, rel=1e-7)
+        with pytest.raises(errors.InstabilityError, match="C_150 at alpha=0.5"):
+            jacobi.continuous_constant(150, 0.5)
+        with pytest.raises(errors.InstabilityError):
+            jacobi.continuous_constant(400, 0.0)
+
     def test_parameter_domain(self):
         with pytest.raises(errors.ParameterError):
             jacobi.continuous_constant(2, -0.6)
