@@ -14,7 +14,7 @@ from typing import Optional
 
 from .errors import DegreeError, DomainError, ParameterError, ThresholdError
 from .jacobi import continuous_constant
-from .specfun import RationalScalar, log_gamma, require_normal, stirling_sandwich_logs
+from .specfun import log_gamma, require_normal, stirling_sandwich_logs
 
 _LN2 = math.log(2.0)
 
@@ -101,13 +101,18 @@ def simplified_constant(n, alpha):
     return require_normal(value, "simplified constant at n={}, alpha={!r}", n, alpha)
 
 
-def _alpha0_logs(n):
+def alpha0_sandwich_logs(n):
+    """(log lower, log exact, log upper) of the alpha = 0 sandwich
+
+        D_n d_n <= 2^{n+1}(n+1)!/(2n+2)! <= D_n,
+
+    which is the Stirling-type enclosure of v_{n+1}; kept in log space so
+    the comparison survives degrees in the hundreds where the plain
+    values underflow.
+    """
     if n < 0:
         raise DomainError(f"degree must be >= 0, got {n}")
-    m = n + 1
-    _, log_exact, log_upper = stirling_sandwich_logs(m)
-    log_slack = 2.0 / (12 * m + 1) + 1.0 / (24 * m + 1) - 1.0 / (6 * m) - 1.0 / (24 * m)
-    return log_upper, log_slack, log_exact
+    return stirling_sandwich_logs(n + 1)
 
 
 def alpha0_constant(n):
@@ -118,25 +123,13 @@ def alpha0_constant(n):
 
     The exact constant 2^{n+1}(n+1)!/(2n+2)! lies in [D_n d_n, D_n].
     """
-    log_upper, log_slack, _ = _alpha0_logs(n)
-    return math.exp(log_upper), math.exp(log_slack)
+    log_lower, _, log_upper = alpha0_sandwich_logs(n)
+    return math.exp(log_upper), math.exp(log_lower - log_upper)
 
 
 def alpha0_exact_constant(n):
     """Exact alpha = 0 constant 2^{n+1}(n+1)!/(2n+2)!."""
-    return math.exp(_alpha0_logs(n)[2])
-
-
-def alpha0_sandwich_logs(n):
-    """(log lower, log exact, log upper) of the alpha = 0 sandwich
-
-        D_n d_n <= 2^{n+1}(n+1)!/(2n+2)! <= D_n,
-
-    kept in log space so the comparison survives degrees in the hundreds
-    where the plain values underflow.
-    """
-    log_upper, log_slack, log_exact = _alpha0_logs(n)
-    return log_upper + log_slack, log_exact, log_upper
+    return math.exp(alpha0_sandwich_logs(n)[1])
 
 
 def min_nodes(n, alpha):
@@ -145,8 +138,9 @@ def min_nodes(n, alpha):
         c3 = ceil((2n^2 + (4 alpha + 2) n)/(2 alpha + 1))   (alpha > -1/2)
         c4 = 2 n (n + 1)                                    (alpha >= 0)
 
-    c3 uses exact rational arithmetic on the binary value of alpha, so
-    float division cannot tip the ceiling across an integer boundary.
+    c3 is an integer ceiling division on the binary value of alpha:
+    with alpha = p/q exactly, c3 = ceil((2n^2 q + (4p + 2q) n)/(2p + q)),
+    so float division cannot tip the ceiling across an integer boundary.
     c4 is returned for any admissible alpha but its guarantee is only
     asserted for alpha >= 0.
     """
@@ -154,10 +148,10 @@ def min_nodes(n, alpha):
         raise ParameterError(f"node thresholds defined for alpha > -1/2, got {alpha}")
     if n < 0:
         raise DomainError(f"degree must be >= 0, got {n}")
-    fa = RationalScalar(alpha)
-    c3 = math.ceil((2 * n * n + (4 * fa + 2) * n) / (2 * fa + 1))
+    p, q = alpha.as_integer_ratio()
+    c3 = -(-(2 * n * n * q + (4 * p + 2 * q) * n) // (2 * p + q))
     c4 = 2 * n * (n + 1)
-    return max(int(c3), 1), max(c4, 1)
+    return max(c3, 1), max(c4, 1)
 
 
 @dataclass(frozen=True)

@@ -2,27 +2,27 @@
 
 Weight values, hypergeometric and recurrence evaluation, closed-form
 norms, weighted inner products, and the normalized symmetric family
-on [-1,1].  Float paths use compensated summation; the _exact variants
-are rational twins for the small-parameter oracle tests.
+on [-1,1].  The series is summed in exact rationals and rounded once;
+the recurrence and the sums run in floats.
 """
 
 import functools
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import (
     DegreeError,
-    DomainError,
     InstabilityError,
     LengthMismatchError,
     NumericalRangeWarning,
     ParameterError,
     ThresholdError,
 )
-from .specfun import RationalScalar, gen_binomial, log_pochhammer, pochhammer
+from .specfun import gen_binomial, log_pochhammer
 
 # Double precision with compensated summation is validated on this range;
 # beyond it the alternating hypergeometric sums start to cancel badly,
@@ -75,21 +75,6 @@ def weight(i, params):
     return gen_binomial(params.alpha, i) * gen_binomial(params.beta, N - i)
 
 
-def weight_exact(i, alpha, beta, N):
-    """Integer-exact weight; oracle path for integer alpha, beta >= 0."""
-    _require_integer_exponents(alpha, beta)
-    if i < 0 or i > N:
-        raise IndexError(f"grid index must lie in [0, {N}], got {i}")
-    return math.comb(int(alpha) + i, i) * math.comb(int(beta) + N - i, N - i)
-
-
-def _require_integer_exponents(alpha, beta):
-    if alpha < 0 or beta < 0 or alpha != int(alpha) or beta != int(beta):
-        raise DomainError(
-            f"exact arithmetic needs integer alpha, beta >= 0, got alpha={alpha!r}, beta={beta!r}"
-        )
-
-
 @dataclass(frozen=True)
 class DiscreteWeight:
     """The weight vector omega(0..N) attached to its parameters."""
@@ -100,25 +85,15 @@ class DiscreteWeight:
     @classmethod
     def from_params(cls, params):
         # omega(i) = left[i] * right[N - i]: one binomial per node and side,
-        # and one side only when the weight is symmetric
+        # and one side only when the weight is symmetric.  An overflow to
+        # inf is reported by the norms as an InstabilityError, not here.
         N = params.N
         left = [gen_binomial(params.alpha, i) for i in range(N + 1)]
         right = left if params.symmetric else [gen_binomial(params.beta, i) for i in range(N + 1)]
-        vals = np.array(left) * np.array(right[::-1])
+        with np.errstate(over="ignore"):
+            vals = np.array(left) * np.array(right[::-1])
         vals.flags.writeable = False
         return cls(params, vals)
-
-
-def _hahn_series(n, x, a, b, N):
-    """Exact sum_k (-n)_k (n+a+b+1)_k (-x)_k / ((a+1)_k (-N)_k k!) for
-    rational (or integer) x, a, b."""
-    term = RationalScalar(1)
-    total = RationalScalar(1)
-    for k in range(n):
-        term = term * ((k - n) * (n + a + b + 1 + k) * (k - x))
-        term = term / ((a + 1 + k) * (k - N) * (k + 1))
-        total += term
-    return total
 
 
 def hahn_eval(n, x, params):
@@ -135,16 +110,14 @@ def hahn_eval(n, x, params):
     """
     _check_degree(n, params.N)
     _check_range(n, params.N)
-    a = RationalScalar(params.alpha)
-    b = RationalScalar(params.beta)
-    return float(_hahn_series(n, RationalScalar(float(x)), a, b, params.N))
-
-
-def hahn_eval_exact(n, x, alpha, beta, N):
-    """Exact-rational Q_n(x) for integer alpha, beta >= 0 (oracle path)."""
-    _require_integer_exponents(alpha, beta)
-    _check_degree(n, N)
-    return _hahn_series(n, RationalScalar(x), int(alpha), int(beta), N)
+    a, b, N = Fraction(params.alpha), Fraction(params.beta), params.N
+    x = Fraction(float(x))
+    term = total = Fraction(1)
+    for k in range(n):
+        term = term * ((k - n) * (n + a + b + 1 + k) * (k - x))
+        term = term / ((a + 1 + k) * (k - N) * (k + 1))
+        total += term
+    return float(total)
 
 
 @functools.lru_cache(maxsize=128, typed=True)
@@ -202,11 +175,6 @@ def _hahn_column(n_max, x, params):
     return out
 
 
-def hahn_eval_recurrence(n, x, params):
-    """Q_n(x) by the recurrence; independent cross-check of hahn_eval."""
-    return float(hahn_table(n, x, params)[n, 0])
-
-
 def hahn_norm_sq(k, params):
     """Closed-form squared norm
 
@@ -229,26 +197,6 @@ def hahn_norm_sq(k, params):
         return sign * math.exp(log1 + log2 + log3 - math.log(abs(d4)) - log5 - log6 - log7)
     except OverflowError as exc:
         raise InstabilityError(f"norm of Q_{k} overflows for alpha={a}, beta={b}, N={N}") from exc
-
-
-def hahn_norm_sq_exact(k, alpha, beta, N):
-    """Exact-rational norm for integer alpha, beta >= 0 (oracle path)."""
-    _require_integer_exponents(alpha, beta)
-    _check_degree(k, N, "norm index")
-    a, b = int(alpha), int(beta)
-    num = (
-        RationalScalar((-1) ** k)
-        * pochhammer(RationalScalar(k + a + b + 1), N + 1)
-        * pochhammer(RationalScalar(b + 1), k)
-        * math.factorial(k)
-    )
-    den = (
-        RationalScalar(2 * k + a + b + 1)
-        * pochhammer(RationalScalar(a + 1), k)
-        * pochhammer(RationalScalar(-N), k)
-        * math.factorial(N)
-    )
-    return num / den
 
 
 def inner_product(f_values, g_values, weight):

@@ -20,7 +20,6 @@ from .errors import (
     ParameterError,
     ThresholdError,
 )
-from .specfun import log_gamma
 
 _LN2 = math.log(2.0)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -91,10 +90,11 @@ def _sample_scalar(f, t):
 
 def _grid_sum(values):
     # fsum keeps the alternating grid sums stable; overflow of partial
-    # sums means the fit cannot be represented, not a silent inf.
+    # sums, or terms that are already +inf and -inf, mean the fit cannot
+    # be represented, not a silent inf or a traceback.
     try:
         return math.fsum(values.tolist())
-    except OverflowError as exc:
+    except (OverflowError, ValueError) as exc:
         raise InstabilityError(f"overflow in weighted grid sum: {exc}") from exc
 
 
@@ -110,9 +110,13 @@ def _weighted_samples(f, n, params):
 def _project(values, n, params, w):
     """Approximant with c_k = <values, Q_k>_omega / <Q_k, Q_k>_omega, k = 0..n."""
     table = hahn.hahn_table(n, np.arange(params.N + 1, dtype=float), params)
-    coefficients = tuple(
-        _grid_sum(values * table[k] * w) / hahn.hahn_norm_sq(k, params) for k in range(n + 1)
-    )
+    # an overflow to inf (and inf * 0 = nan) surfaces below as an
+    # InstabilityError from the sum or the norm, so numpy's own warning
+    # would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        coefficients = tuple(
+            _grid_sum(values * table[k] * w) / hahn.hahn_norm_sq(k, params) for k in range(n + 1)
+        )
     return Approximant(params, n, coefficients)
 
 
@@ -254,12 +258,14 @@ def sup_error(f, a, bound=None):
 
 
 def extremal_function(n, params):
-    """Sharpness witness f* = hatQ_{n+1}/S with S = sup |hatQ_{n+1}^{(n+1)}|.
+    """Sharpness witness f* = hatQ_{n+1}/S with S = sup |hatQ_{n+1}^{(n+1)}|,
+    which is (-1)^{n+1} D_{n,N} Q_{n+1}(N(1+t)/2).
 
     Unit (n+1)-st derivative sup by construction, zero least-squares fit
     at degree n by orthogonality, so its sup error is exactly the
-    worst-case constant.  Requires the symmetric weight and the degree
-    hypothesis n+1 <= n(alpha, N).
+    worst-case constant, which is also its scale.  Requires the symmetric
+    weight and the degree hypothesis n+1 <= n(alpha, N); a D below the
+    smallest normal double raises an InstabilityError.
     """
     if not params.symmetric:
         raise ParameterError(
@@ -273,22 +279,7 @@ def extremal_function(n, params):
         )
     if n + 1 > N:
         raise DegreeError(f"witness needs n+1 <= N, got n={n}, N={N}")
-    norm_sq = hahn.hahn_norm_sq(n + 1, params)
-    # S = (N/2)^{n+1}/sqrt(norm) * (n+1)! (n+2a+2)_{n+1} (N-n-1)! / ((a+1)_{n+1} N!)
-    log_scale = (
-        (n + 1) * (math.log(N) - _LN2)
-        - 0.5 * math.log(norm_sq)
-        + math.lgamma(n + 2.0)
-        + log_gamma(2.0 * n + 2.0 * alpha + 3.0)
-        - log_gamma(n + 2.0 * alpha + 2.0)
-        + math.lgamma(float(N - n))
-        - math.lgamma(N + 1.0)
-        - log_gamma(n + alpha + 2.0)
-        + log_gamma(alpha + 1.0)
-    )
-    deriv_sup = math.exp(log_scale)
-    sign = (-1.0) ** (n + 1)
-    front = sign / (math.sqrt(norm_sq) * deriv_sup)
+    front = (-1.0) ** (n + 1) * bounds.worst_case_constant(n, N, alpha)
 
     def evaluator(t):
         arr = np.asarray(t, dtype=float)

@@ -8,14 +8,8 @@ scalars; the array-heavy code lives in the polynomial modules.
 
 import math
 import sys
-from fractions import Fraction
 
 from .errors import DomainError, InstabilityError
-
-# Exact-arithmetic scalar for the rational oracle paths (integer alpha,
-# beta, small N).  Arbitrary precision, normalized gcd, positive
-# denominator; all guaranteed by the stdlib type.
-RationalScalar = Fraction
 
 _LN2 = math.log(2.0)
 _MIN_NORMAL = sys.float_info.min

@@ -32,6 +32,16 @@ def frac_hahn(n, x, alpha, beta, N):
     return total
 
 
+def frac_hahn_leading(n, alpha, beta, N):
+    """Coefficient of x^n in Q_n(x), from the k = n term of the series:
+    (n+alpha+beta+1)_n / ((alpha+1)_n (-N)_n), exact for dyadic alpha, beta."""
+    a, b = Fraction(alpha), Fraction(beta)
+    out = Fraction(1)
+    for i in range(n):
+        out *= (n + a + b + 1 + i) / ((a + 1 + i) * (i - N))
+    return out
+
+
 def frac_inner(f_vals, g_vals, alpha, beta, N):
     """Exact weighted grid sum of two Fraction sample vectors."""
     total = Fraction(0)
@@ -43,6 +53,20 @@ def frac_inner(f_vals, g_vals, alpha, beta, N):
 def frac_norm_brute(k, alpha, beta, N):
     samples = [frac_hahn(k, i, alpha, beta, N) for i in range(N + 1)]
     return frac_inner(samples, samples, alpha, beta, N)
+
+
+def frac_norm_closed(k, alpha, beta, N):
+    """Closed-form squared norm, exactly, for integer alpha, beta >= 0:
+
+        (-1)^k (k+a+b+1)_{N+1} (b+1)_k k! / ((2k+a+b+1) (a+1)_k (-N)_k N!).
+    """
+
+    def rising(a, m):
+        return math.prod(a + i for i in range(m))
+
+    num = (-1) ** k * rising(k + alpha + beta + 1, N + 1) * rising(beta + 1, k) * math.factorial(k)
+    den = (2 * k + alpha + beta + 1) * rising(alpha + 1, k) * rising(-N, k) * math.factorial(N)
+    return Fraction(num, den)
 
 
 def solve_exact(A, b):
@@ -154,6 +178,13 @@ def frac_worst_case_constant(n, N, alpha):
     for i in range(1, n + 1):
         grid *= 1 - Fraction(i, N)
     return frac_continuous_constant(n, alpha) * grid
+
+
+def frac_min_nodes_c3(n, alpha):
+    """ceil((2n^2 + (4 alpha + 2) n) / (2 alpha + 1)) on the exact binary
+    value of alpha, by Fraction arithmetic and math.ceil."""
+    a = Fraction(alpha)
+    return math.ceil((2 * n * n + (4 * a + 2) * n) / (2 * a + 1))
 
 
 def gauss_legendre_inner(f, g, degree_bound):

@@ -46,12 +46,14 @@ def test_criterion_01_orthogonality_and_norms():
                         assert abs(cross) / math.sqrt(norms[j] * norms[k]) <= 1e-9
         # rational mode: exact equalities, integer parameters
         for alpha in (0, 1, 2):
+            params = hahn.HahnParams(float(alpha), float(alpha), 10)
             for k in range(7):
-                closed = hahn.hahn_norm_sq_exact(k, alpha, alpha, 10)
+                closed = oracles.frac_norm_closed(k, alpha, alpha, 10)
                 assert closed == oracles.frac_norm_brute(k, alpha, alpha, 10)
+                assert hahn.hahn_norm_sq(k, params) == pytest.approx(float(closed), rel=1e-13)
                 for j in range(k):
-                    sj = [hahn.hahn_eval_exact(j, i, alpha, alpha, 10) for i in range(11)]
-                    sk = [hahn.hahn_eval_exact(k, i, alpha, alpha, 10) for i in range(11)]
+                    sj = [oracles.frac_hahn(j, i, alpha, alpha, 10) for i in range(11)]
+                    sk = [oracles.frac_hahn(k, i, alpha, alpha, 10) for i in range(11)]
                     assert oracles.frac_inner(sj, sk, alpha, alpha, 10) == 0
 
 

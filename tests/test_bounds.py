@@ -3,7 +3,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from hahn_lsq import bounds, errors, jacobi
 
 
@@ -204,6 +207,19 @@ class TestMinNodes:
             for n in range(1, 12):
                 for N in bounds.min_nodes(n, alpha):
                     assert bounds.degree_threshold(alpha, N) >= n + 1 - 1e-12
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(0, 10**4),
+        st.floats(-0.5, allow_nan=False, allow_infinity=False, exclude_min=True),
+    )
+    @example(n=3, alpha=1 / 3)
+    @example(n=7, alpha=1e-300)
+    @example(n=7, alpha=1e300)
+    @example(n=10**4, alpha=-0.49999999999999994)
+    def test_integer_ceiling_matches_exact_rational(self, n, alpha):
+        c3, _ = bounds.min_nodes(n, alpha)
+        assert c3 == max(oracles.frac_min_nodes_c3(n, alpha), 1)
 
     def test_tight_rule_is_minimal(self):
         # only the ceiling-based count claims minimality; the quadratic

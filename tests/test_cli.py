@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -155,14 +156,59 @@ class TestExitCodes:
                 4,
                 "numerical instability: ",
             ),
+            (
+                # D_150 underflows at alpha = 0.5, so the witness has no scale;
+                # a witness scaled by zero would report sup_error 0.0
+                ["fit", "--function", "extremal:150", "--alpha", "0.5", "--nodes", "50000",
+                 "--n", "2"],
+                4,
+                "numerical instability: ",
+            ),
         ],
-        ids=["bounds-alpha-nan", "bounds-alpha-inf", "compare-alpha-nan", "fit-norm-overflow"],
+        ids=[
+            "bounds-alpha-nan",
+            "bounds-alpha-inf",
+            "compare-alpha-nan",
+            "fit-norm-overflow",
+            "fit-witness-scale-underflow",
+        ],
     )
     def test_unusable_input_exits_with_documented_code(self, args, status, prefix, capsys):
         code, out, err = run_cli(args, capsys)
         assert code == status
         assert err.splitlines()[-1].startswith(prefix)
         assert "nan" not in out
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["fit", "--function", "exp", "--alpha", "150", "--nodes", "3000", "--n", "4"],
+            ["fit", "--function", "exp", "--alpha", "100", "--nodes", "3000", "--n", "4"],
+            ["basis", "--alpha", "150", "--nodes", "3000", "--n", "1"],
+            # sin vanishes at the midpoint, where its weight is inf: the
+            # sums see nan and both signs of inf
+            ["fit", "--function", "sin1", "--alpha", "150", "--nodes", "3000", "--n", "2"],
+        ],
+        ids=["fit-alpha-150", "fit-alpha-100", "basis-alpha-150", "fit-sin-alpha-150"],
+    )
+    def test_overflow_is_reported_once(self, args, capsys):
+        # the weights or the weighted sums overflow; numpy's RuntimeWarning
+        # must not print ahead of the one line that reports it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(args, capsys)
+        assert code == 4
+        assert out == ""
+        assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert err.startswith("numerical instability: ")
+        # the same run in a fresh interpreter, where warnings reach stderr
+        paths = [str(pathlib.Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        child = subprocess.run(
+            [sys.executable, "-m", "hahn_lsq", *args], capture_output=True, text=True, env=env
+        )
+        assert child.returncode == 4
+        assert child.stderr.splitlines() == [err.rstrip("\n")]
 
     @pytest.mark.parametrize("command", ["bounds", "compare"])
     def test_constants_below_the_normal_range_exit_unstable(self, command, capsys):

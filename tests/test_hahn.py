@@ -33,8 +33,9 @@ class TestWeight:
     def test_integer_example(self):
         p = hahn.HahnParams(1.0, 1.0, 2)
         values = [hahn.weight(i, p) for i in range(3)]
-        assert values == pytest.approx([3.0, 4.0, 3.0], rel=1e-12)
-        assert [hahn.weight_exact(i, 1, 1, 2) for i in range(3)] == [3, 4, 3]
+        exact = [oracles.frac_weight(i, 1, 1, 2) for i in range(3)]
+        assert exact == [3, 4, 3]
+        assert values == pytest.approx(exact, rel=1e-12)
 
     def test_half_parameter_example(self):
         p = hahn.HahnParams(0.5, 0.5, 1)
@@ -47,10 +48,6 @@ class TestWeight:
             hahn.weight(-1, p)
         with pytest.raises(IndexError):
             hahn.weight(5, p)
-
-    def test_exact_requires_integer_parameters(self):
-        with pytest.raises(errors.DomainError):
-            hahn.weight_exact(0, 0.5, 0.5, 4)
 
     @pytest.mark.parametrize("alpha", [0.5, 2.0])
     def test_symmetry_and_positivity(self, alpha):
@@ -104,25 +101,27 @@ class TestHahnEval:
             p = hahn.HahnParams(float(alpha), float(beta), 12)
             for n in (1, 4, 7):
                 for x in (0, 3, 12):
-                    exact = hahn.hahn_eval_exact(n, x, alpha, beta, 12)
+                    exact = oracles.frac_hahn(n, x, alpha, beta, 12)
                     assert hahn.hahn_eval(n, float(x), p) == pytest.approx(
                         float(exact), rel=1e-13
                     )
 
     def test_exact_variant_returns_fraction(self):
-        value = hahn.hahn_eval_exact(2, Fraction(1, 2), 0, 0, 4)
-        assert value == Fraction(1, 8)  # 1 - 1 + 1/8
+        # off the grid: Q_2(1/2; 0, 0, 4) = 1 - 1 + 1/8, exactly in binary
+        assert oracles.frac_hahn(2, Fraction(1, 2), 0, 0, 4) == Fraction(1, 8)
+        assert hahn.hahn_eval(2, 0.5, hahn.HahnParams(0.0, 0.0, 4)) == 0.125
+
+
+def recurrence(n, x, params):
+    """Q_n(x) from a one-point hahn_table."""
+    return float(hahn.hahn_table(n, [x], params)[n, 0])
 
 
 class TestRecurrence:
     def test_examples(self):
-        assert hahn.hahn_eval_recurrence(0, 3.0, hahn.HahnParams(1.0, 0.5, 9)) == 1.0
-        assert hahn.hahn_eval_recurrence(1, 5.0, hahn.HahnParams(0.0, 0.0, 10)) == pytest.approx(
-            0.0, abs=1e-15
-        )
-        assert hahn.hahn_eval_recurrence(2, 2.0, hahn.HahnParams(0.0, 0.0, 4)) == pytest.approx(
-            -1.0, rel=1e-14
-        )
+        assert recurrence(0, 3.0, hahn.HahnParams(1.0, 0.5, 9)) == 1.0
+        assert recurrence(1, 5.0, hahn.HahnParams(0.0, 0.0, 10)) == pytest.approx(0.0, abs=1e-15)
+        assert recurrence(2, 2.0, hahn.HahnParams(0.0, 0.0, 4)) == pytest.approx(-1.0, rel=1e-14)
 
     @pytest.mark.parametrize("alpha", SYMMETRIC_ALPHAS)
     @pytest.mark.parametrize("N", GRID_SIZES)
@@ -142,7 +141,7 @@ class TestRecurrence:
         for n in (1, 5, 9):
             for x in (0.0, 4.0, 15.0):
                 series = hahn.hahn_eval(n, x, p)
-                rec = hahn.hahn_eval_recurrence(n, x, p)
+                rec = recurrence(n, x, p)
                 assert rec == pytest.approx(series, rel=1e-10, abs=1e-12)
 
     def test_table_shape(self):
@@ -173,10 +172,12 @@ class TestNorm:
 
     def test_closed_form_equals_brute_sum_exact(self):
         for alpha in (0, 1, 2):
+            p = hahn.HahnParams(float(alpha), float(alpha), 12)
             for k in range(7):
-                closed = hahn.hahn_norm_sq_exact(k, alpha, alpha, 12)
+                closed = oracles.frac_norm_closed(k, alpha, alpha, 12)
                 brute = oracles.frac_norm_brute(k, alpha, alpha, 12)
                 assert closed == brute
+                assert hahn.hahn_norm_sq(k, p) == pytest.approx(float(closed), rel=1e-13)
 
     @pytest.mark.parametrize("alpha", SYMMETRIC_ALPHAS)
     def test_closed_form_equals_brute_sum_float(self, alpha):

@@ -229,13 +229,39 @@ class TestExtremalFunction:
         with pytest.raises(errors.ThresholdError):
             lsq.extremal_function(2, hahn.HahnParams(0.0, 0.0, 4))
 
-    @pytest.mark.parametrize("n,N,alpha", [(0, 4, 0.0), (1, 8, 1.0), (3, 40, 0.5)])
+    @pytest.mark.parametrize(
+        "n,N,alpha", [(0, 4, 0.0), (1, 4, 0.0), (2, 12, 0.0), (1, 8, 1.0), (3, 40, 0.5)]
+    )
     def test_sup_error_equals_constant(self, n, N, alpha):
         p = hahn.HahnParams(alpha, alpha, N)
         witness = lsq.extremal_function(n, p)
         a = lsq.fit_hahn(witness, n, p)
         measured = lsq.sup_error(witness, a).sup_error
-        assert measured == pytest.approx(bounds.worst_case_constant(n, N, alpha), rel=1e-8)
+        constant = bounds.worst_case_constant(n, N, alpha)
+        assert measured == pytest.approx(constant, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "n,N,alpha",
+        [(0, 4, 0.0), (1, 8, 1.0), (3, 40, 0.5), (5, 60, 0.25), (6, 84, 0.0), (4, 200, 2.0)],
+    )
+    def test_derivative_of_order_n_plus_1_is_one(self, n, N, alpha):
+        # f* is a polynomial of degree m = n+1 in t, so f*^(m) = m! times
+        # its leading coefficient.  Exactly: D_{n,N} (N/2)^m m! times the
+        # leading x-coefficient of Q_m is (-1)^m, which is why D scales it.
+        m = n + 1
+        lead = oracles.frac_hahn_leading(m, alpha, alpha, N) * Fraction(N, 2) ** m
+        exact = oracles.frac_worst_case_constant(n, N, alpha) * lead * math.factorial(m)
+        assert exact == (-1) ** m
+        # and the float witness: its m-th divided difference is the leading
+        # coefficient, taken exactly over its samples at m+1 Chebyshev points
+        witness = lsq.extremal_function(n, hahn.HahnParams(alpha, alpha, N))
+        ts = [Fraction(math.cos(math.pi * (j + 0.5) / (m + 1))) for j in range(m + 1)]
+        diffs = [Fraction(float(witness.evaluator(float(t)))) for t in ts]
+        for level in range(1, m + 1):
+            diffs = [
+                (diffs[i + 1] - diffs[i]) / (ts[i + level] - ts[i]) for i in range(m + 1 - level)
+            ]
+        assert float(diffs[0]) * math.factorial(m) == pytest.approx(1.0, rel=1e-13, abs=0.0)
 
 
 class TestClassKDefect:
