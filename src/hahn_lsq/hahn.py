@@ -1,9 +1,10 @@
 """Hahn polynomials Q_n(x; alpha, beta, N) on the integer grid {0..N}.
 
-Weight values, hypergeometric and recurrence evaluation, closed-form
-norms, weighted inner products, and the normalized symmetric family
-on [-1,1].  The series is summed in exact rationals and rounded once;
-the recurrence and the sums run in floats.
+Weight values built in log space, hypergeometric and recurrence
+evaluation, norms from the recurrence coefficients, weighted inner
+products, and the normalized symmetric family on [-1,1].  The series is
+summed in exact rationals and rounded once; the recurrence and the sums
+run in floats.
 """
 
 import functools
@@ -22,11 +23,11 @@ from .errors import (
     ParameterError,
     ThresholdError,
 )
-from .specfun import gen_binomial, log_pochhammer
+from .specfun import gen_binomial, require_normal
 
-# Double precision with compensated summation is validated on this range;
-# beyond it the alternating hypergeometric sums start to cancel badly,
-# so we warn instead of silently degrading.
+# The float recurrence and the fits built on it are validated against the
+# exact series on this range; beyond it nothing has checked them, so we
+# warn instead of silently degrading.
 MAX_VALIDATED_DEGREE = 40
 MAX_VALIDATED_NODES = 10**4
 
@@ -75,25 +76,41 @@ def weight(i, params):
     return gen_binomial(params.alpha, i) * gen_binomial(params.beta, N - i)
 
 
+def _log_ratios(a, N):
+    """log((a+j)/j) = log1p(a/j) for j = 1..N; log C(a+i, i) sums the first i."""
+    return np.log1p(a / np.arange(1.0, N + 1.0))
+
+
+def _log_binomials(a, N):
+    """log C(a+i, i) for i = 0..N, as a running sum."""
+    return np.concatenate(([0.0], np.cumsum(_log_ratios(a, N))))
+
+
 @dataclass(frozen=True)
 class DiscreteWeight:
-    """The weight vector omega(0..N) attached to its parameters."""
+    """The weight vector omega(0..N), and its logs, attached to its parameters."""
 
     params: HahnParams
     values: np.ndarray
+    log_values: np.ndarray
 
     @classmethod
     def from_params(cls, params):
-        # omega(i) = left[i] * right[N - i]: one binomial per node and side,
-        # and one side only when the weight is symmetric.  An overflow to
-        # inf is reported by the norms as an InstabilityError, not here.
+        # log omega(i) = left[i] + right[N - i], one side only when the
+        # weight is symmetric
         N = params.N
-        left = [gen_binomial(params.alpha, i) for i in range(N + 1)]
-        right = left if params.symmetric else [gen_binomial(params.beta, i) for i in range(N + 1)]
+        left = _log_binomials(params.alpha, N)
+        right = left if params.symmetric else _log_binomials(params.beta, N)
+        logs = left + right[::-1]
         with np.errstate(over="ignore"):
-            vals = np.array(left) * np.array(right[::-1])
+            vals = np.exp(logs)
         vals.flags.writeable = False
-        return cls(params, vals)
+        logs.flags.writeable = False
+        return cls(params, vals, logs)
+
+    def scaled(self):
+        """omega / max omega, which never overflows."""
+        return np.exp(self.log_values - self.log_values.max())
 
 
 def hahn_eval(n, x, params):
@@ -126,8 +143,9 @@ def _recurrence_coefficients(n_max, a, b, N):
 
         A_k Q_{k+1}(x) = (A_k + C_k - x) Q_k(x) - C_k Q_{k-1}(x).
 
-    Cached, because the golden-section polish evaluates one family at
-    a few dozen single points in a row.
+    They drive the tables and, through A_{k-1} h_k = C_k h_{k-1}, the
+    norms.  Cached, because the golden-section polish evaluates one
+    family at a few dozen single points in a row.
     """
     coefficients = []
     for k in range(1, n_max):
@@ -175,28 +193,37 @@ def _hahn_column(n_max, x, params):
     return out
 
 
+def _norm_ratios(n, params):
+    """h_k / h_0, k = 0..n, for h_k = <Q_k, Q_k>_omega, independent of the
+    scale of omega: pairing x Q_{k-1} with Q_k both ways gives
+    A_{k-1} h_k = C_k h_{k-1}, with A_0 = (a+1)N/(a+b+2) as in hahn_table.
+    """
+    a, b, N = params.alpha, params.beta, float(params.N)
+    ratios = np.empty(n + 1)
+    ratios[0] = 1.0
+    A_prev = (a + 1.0) * N / (a + b + 2.0)
+    for k, (A, C) in enumerate(_recurrence_coefficients(n + 1, a, b, N), start=1):
+        ratios[k] = ratios[k - 1] * C / A_prev
+        A_prev = A
+    return ratios
+
+
 def hahn_norm_sq(k, params):
-    """Closed-form squared norm
+    """Squared norm h_k = h_0 * prod_{j<=k} C_j / A_{j-1}, with
 
-        (-1)^k (k+a+b+1)_{N+1} (b+1)_k k! / ((2k+a+b+1) (a+1)_k (-N)_k N!)
+        h_0 = sum_i omega(i) = C(a+b+N+1, N)
 
-    assembled in log space with sign bookkeeping; the alternating signs
-    cancel, so the result is positive.
+    from the log1p terms of the weight, summed exactly.  A norm outside the
+    normal double range raises an InstabilityError.
     """
     _check_degree(k, params.N, "norm index")
     a, b, N = params.alpha, params.beta, params.N
-    log1, s1 = log_pochhammer(k + a + b + 1.0, N + 1)
-    log2, s2 = log_pochhammer(b + 1.0, k)
-    log3 = math.lgamma(k + 1.0)
-    d4 = 2.0 * k + a + b + 1.0
-    log5, s5 = log_pochhammer(a + 1.0, k)
-    log6, s6 = log_pochhammer(float(-N), k)
-    log7 = math.lgamma(N + 1.0)
-    sign = (-1) ** k * s1 * s2 * s5 * s6 * (1 if d4 > 0 else -1)
-    try:
-        return sign * math.exp(log1 + log2 + log3 - math.log(abs(d4)) - log5 - log6 - log7)
-    except OverflowError as exc:
-        raise InstabilityError(f"norm of Q_{k} overflows for alpha={a}, beta={b}, N={N}") from exc
+    log_h0 = math.fsum(_log_ratios(a + b + 1.0, N).tolist())
+    with np.errstate(over="ignore"):
+        value = float(np.exp(log_h0) * _norm_ratios(k, params)[k])
+    if math.isinf(value):
+        raise InstabilityError(f"norm of Q_{k} overflows for alpha={a}, beta={b}, N={N}")
+    return require_normal(value, "norm of Q_{} for alpha={}, beta={}, N={}", k, a, b, N)
 
 
 def inner_product(f_values, g_values, weight):

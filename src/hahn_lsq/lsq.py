@@ -99,25 +99,23 @@ def _grid_sum(values):
 
 
 def _weighted_samples(f, n, params):
-    """Grid nodes, samples of f and weight values for a degree-n fit."""
+    """Grid nodes, samples of f and the scaled weight for a degree-n fit."""
     N = params.N
     if n < 0 or n > N:
         raise DegreeError(f"fit degree must satisfy 0 <= n <= N={N}, got {n}")
     ts = grid_points(N)
-    return ts, _sample(f, ts), hahn.DiscreteWeight.from_params(params).values
+    return ts, _sample(f, ts), hahn.DiscreteWeight.from_params(params).scaled()
 
 
 def _project(values, n, params, w):
-    """Approximant with c_k = <values, Q_k>_omega / <Q_k, Q_k>_omega, k = 0..n."""
+    """Approximant with c_k = <values, Q_k>_w / <Q_k, Q_k>_w, k = 0..n.
+
+    The coefficients do not change when w is rescaled, so w is the
+    scaled weight and the norms are its sum times the recurrence ratios.
+    """
     table = hahn.hahn_table(n, np.arange(params.N + 1, dtype=float), params)
-    # an overflow to inf (and inf * 0 = nan) surfaces below as an
-    # InstabilityError from the sum or the norm, so numpy's own warning
-    # would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        coefficients = tuple(
-            _grid_sum(values * table[k] * w) / hahn.hahn_norm_sq(k, params) for k in range(n + 1)
-        )
-    return Approximant(params, n, coefficients)
+    norms = w.sum() * hahn._norm_ratios(n, params)
+    return Approximant(params, n, tuple((table @ (values * w) / norms).tolist()))
 
 
 def fit_hahn(f, n, params):

@@ -40,30 +40,6 @@ def pochhammer(a, k):
     return result
 
 
-def log_pochhammer(a, k):
-    """(log |(a)_k|, sign) with sign in {-1, 0, 1}.
-
-    Positive a goes through lgamma; otherwise the factors are walked one
-    by one so zero and negative factors are classified exactly.
-    """
-    if k < 0:
-        raise DomainError(f"log_pochhammer requires k >= 0, got {k!r}")
-    if k == 0:
-        return 0.0, 1
-    if a > 0:
-        return math.lgamma(a + k) - math.lgamma(a), 1
-    total = 0.0
-    sign = 1
-    for i in range(k):
-        factor = a + i
-        if factor == 0:
-            return float("-inf"), 0
-        if factor < 0:
-            sign = -sign
-        total += math.log(abs(factor))
-    return total, sign
-
-
 def gen_binomial(a, k):
     """Generalized binomial C(a+k, k) = Gamma(a+k+1)/(Gamma(k+1) Gamma(a+1)).
 

@@ -3,7 +3,8 @@
 Everything here is deliberately written from first principles, without
 importing the package internals it is used to check: exact rational
 weights, series evaluation, least squares and the worst-case constants
-via Fraction arithmetic, a Chebyshev-series lower bound on the best
+via Fraction arithmetic, log weights and a least-squares fit in
+multi-digit mpmath, a Chebyshev-series lower bound on the best
 uniform approximation of exp, and two classical quadrature rules for
 the continuous inner products.
 """
@@ -11,12 +12,18 @@ the continuous inner products.
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 
 def frac_weight(i, alpha, beta, N):
-    """omega(i) for integer alpha, beta >= 0, as an exact integer."""
-    return math.comb(alpha + i, i) * math.comb(beta + N - i, N - i)
+    """omega(i) for rational alpha, beta > -1, exactly, from the product
+    form C(a+m, m) = prod_{j=1..m} (a+j)/j; an integer for integer alpha, beta."""
+
+    def binomial(a, m):
+        return math.prod((Fraction(a) + j) / j for j in range(1, m + 1))
+
+    return binomial(alpha, i) * binomial(beta, N - i)
 
 
 def frac_hahn(n, x, alpha, beta, N):
@@ -67,6 +74,44 @@ def frac_norm_closed(k, alpha, beta, N):
     num = (-1) ** k * rising(k + alpha + beta + 1, N + 1) * rising(beta + 1, k) * math.factorial(k)
     den = (2 * k + alpha + beta + 1) * rising(alpha + 1, k) * rising(-N, k) * math.factorial(N)
     return Fraction(num, den)
+
+
+def mp_log_binomials(a, N, dps=40):
+    """log C(a+i, i) for i = 0..N as floats, from dps-digit log-gammas."""
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(a)
+        base = mpmath.loggamma(a + 1)
+        return [float(mpmath.loggamma(a + i + 1) - mpmath.loggamma(i + 1) - base)
+                for i in range(N + 1)]
+
+
+def mp_fit_values(f, n, alpha, N, ts, dps=50):
+    """Values at ts of the degree-n least-squares fit of f (an mpmath
+    function) on the grid x_mu = (2mu - N)/N with the symmetric Hahn
+    weight, all in dps digits: the weight from mpmath binomials, the basis
+    from the hypergeometric series, each coefficient one projection."""
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(alpha)
+        side = [mpmath.binomial(a + i, i) for i in range(N + 1)]
+        w = [side[i] * side[N - i] for i in range(N + 1)]
+        fs = [f(mpmath.mpf(2 * i - N) / N) for i in range(N + 1)]
+
+        def q(k, x):
+            term = total = mpmath.mpf(1)
+            for j in range(k):
+                term *= (j - k) * (k + 2 * a + 1 + j) * (j - x) / ((a + 1 + j) * (j - N) * (j + 1))
+                total += term
+            return total
+
+        xs = [N * (1 + mpmath.mpf(float(t))) / 2 for t in ts]
+        out = [mpmath.mpf(0)] * len(xs)
+        for k in range(n + 1):
+            grid = [q(k, i) for i in range(N + 1)]
+            c = mpmath.fsum(fs[i] * grid[i] * w[i] for i in range(N + 1)) / mpmath.fsum(
+                grid[i] ** 2 * w[i] for i in range(N + 1)
+            )
+            out = [v + c * q(k, x) for v, x in zip(out, xs)]
+        return [float(v) for v in out]
 
 
 def solve_exact(A, b):

@@ -50,15 +50,19 @@ def test_install_patches_and_uninstall_restores_every_attribute(tracer):
 def test_traced_op_records_every_layer_it_passes(tracer, capsys):
     tracer.install()
     try:
-        argv = ["fit", "--function", "exp", "--nodes", "40", "--n", "4"]
-        code = tracer.run_op(0, cli.main, argv)
+        fit = ["fit", "--function", "exp", "--nodes", "40", "--n", "4"]
+        codes = [tracer.run_op(0, cli.main, fit)]
+        # a fit takes its norms from the recurrence ratios; basis prints
+        # hahn_norm_sq, so the norm wrapper is covered there
+        codes.append(tracer.run_op(1, cli.main, ["basis", "--nodes", "6", "--n", "2"]))
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    assert code == 0
+    assert codes == [0, 0]
     totals = tracer.totals()
     for name in ("hahn.weight", "hahn.table", "hahn.norm", "lsq.fit", "lsq.scan",
                  "lsq.polish", "lsq.sup", "registry.resolve", "bounds.constant",
                  "jacobi.constant", "cli.parse", "cli.command", "cli.render"):
         assert totals["calls"][name] >= 1, name
     assert totals["counts"]["lsq.polish.steps"] > 0
+    assert {op for name, *_, op in tracer.spans if name == "hahn.norm"} == {1}

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hahn_lsq import cli, errors, hahn, registry
+from hahn_lsq import cli, errors, hahn, lsq, registry
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -152,11 +152,6 @@ class TestExitCodes:
             (["bounds", "--alpha", "inf", "--n", "2"], 2, "hahn-lsq: error: argument --alpha"),
             (["compare", "--alpha", "nan", "--n", "2"], 2, "hahn-lsq: error: argument --alpha"),
             (
-                ["fit", "--function", "exp", "--alpha", "150", "--nodes", "3000", "--n", "4"],
-                4,
-                "numerical instability: ",
-            ),
-            (
                 # D_150 underflows at alpha = 0.5, so the witness has no scale;
                 # a witness scaled by zero would report sup_error 0.0
                 ["fit", "--function", "extremal:150", "--alpha", "0.5", "--nodes", "50000",
@@ -169,7 +164,6 @@ class TestExitCodes:
             "bounds-alpha-nan",
             "bounds-alpha-inf",
             "compare-alpha-nan",
-            "fit-norm-overflow",
             "fit-witness-scale-underflow",
         ],
     )
@@ -180,20 +174,33 @@ class TestExitCodes:
         assert "nan" not in out
 
     @pytest.mark.parametrize(
+        "name,alpha,n",
+        # sin vanishes at the midpoint, where the raw weight is inf
+        [("exp", 150.0, 4), ("exp", 100.0, 4), ("sin1", 150.0, 2)],
+        ids=["fit-alpha-150", "fit-alpha-100", "fit-sin-alpha-150"],
+    )
+    def test_fit_is_scale_free_where_the_raw_weights_overflow(self, name, alpha, n, capsys):
+        # omega passes 1e308 at N = 3000; both fits use omega / max omega
+        args = ["fit", "--function", name, "--alpha", str(alpha), "--nodes", "3000", "--n", str(n)]
+        params = hahn.HahnParams(alpha, alpha, 3000)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(args, capsys)
+            oracle = lsq.fit_normal_equations(registry.resolve(name), n, params)
+        assert (code, err) == (0, "")
+        assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        coeffs = [float(r["value"]) for r in csv_rows(out) if r["kind"] == "coefficient"]
+        assert np.max(np.abs(np.subtract(coeffs, oracle.coefficients))) <= 1e-12
+
+    @pytest.mark.parametrize(
         "args",
-        [
-            ["fit", "--function", "exp", "--alpha", "150", "--nodes", "3000", "--n", "4"],
-            ["fit", "--function", "exp", "--alpha", "100", "--nodes", "3000", "--n", "4"],
-            ["basis", "--alpha", "150", "--nodes", "3000", "--n", "1"],
-            # sin vanishes at the midpoint, where its weight is inf: the
-            # sums see nan and both signs of inf
-            ["fit", "--function", "sin1", "--alpha", "150", "--nodes", "3000", "--n", "2"],
-        ],
-        ids=["fit-alpha-150", "fit-alpha-100", "basis-alpha-150", "fit-sin-alpha-150"],
+        [["basis", "--alpha", "150", "--nodes", "3000", "--n", "1"]],
+        ids=["basis-alpha-150"],
     )
     def test_overflow_is_reported_once(self, args, capsys):
-        # the weights or the weighted sums overflow; numpy's RuntimeWarning
-        # must not print ahead of the one line that reports it
+        # basis prints the raw weights and norms, which overflow here;
+        # numpy's RuntimeWarning must not print ahead of the one line
+        # that reports it
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(args, capsys)
@@ -209,6 +216,20 @@ class TestExitCodes:
         )
         assert child.returncode == 4
         assert child.stderr.splitlines() == [err.rstrip("\n")]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["fit", "--function", "exp", "--alpha", "-0.5", "--nodes", "10", "--n", "2"],
+            ["basis", "--alpha", "-0.5", "--nodes", "4", "--n", "1"],
+        ],
+        ids=["fit", "basis"],
+    )
+    def test_alpha_plus_beta_minus_one_is_in_the_domain(self, args, capsys):
+        # h_0 = C(N, N) = 1 here; the closed-form norm divides 0/0
+        code, out, err = run_cli(args, capsys)
+        assert (code, err) == (0, "")
+        assert "nan" not in out
 
     @pytest.mark.parametrize("command", ["bounds", "compare"])
     def test_constants_below_the_normal_range_exit_unstable(self, command, capsys):

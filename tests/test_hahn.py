@@ -61,6 +61,19 @@ class TestWeight:
         with pytest.raises(ValueError):
             w.values[0] = 5.0
 
+    @pytest.mark.parametrize("alpha,N", [(0.5, 400), (0.0133, 12960), (1.1687, 9362)])
+    def test_log_values_match_multi_digit_log_binomials(self, alpha, N):
+        # a per-node lgamma difference is off by up to 4e-11 at these cells
+        w = hahn.DiscreteWeight.from_params(hahn.HahnParams(alpha, alpha, N))
+        side = np.array(oracles.mp_log_binomials(alpha, N))
+        assert np.max(np.abs(w.log_values - (side + side[::-1]))) <= 1e-12
+
+    def test_large_alpha_overflows_values_but_not_the_scaled_weight(self):
+        w = hahn.DiscreteWeight.from_params(hahn.HahnParams(150.0, 150.0, 3000))
+        assert np.isinf(w.values).any()
+        scaled = w.scaled()
+        assert np.all(np.isfinite(scaled)) and scaled.max() == 1.0
+
 
 class TestHahnEval:
     def test_degree_zero_is_one(self):
@@ -192,6 +205,24 @@ class TestNorm:
     def test_degree_above_grid_rejected(self):
         with pytest.raises(errors.DegreeError):
             hahn.hahn_norm_sq(5, hahn.HahnParams(0.0, 0.0, 4))
+
+    def test_constant_norm_on_a_large_grid(self):
+        # exp of an lgamma difference of size N log N is off by 1.2e-7 here
+        assert hahn.hahn_norm_sq(0, hahn.HahnParams(0.0, 0.0, 12960)) == pytest.approx(
+            12961.0, rel=1e-14
+        )
+
+    @pytest.mark.parametrize("alpha,beta", [(-0.5, -0.5), (-0.5, 2.0), (1.5, -0.25), (3.0, 0.0)])
+    def test_norms_equal_exact_brute_sum(self, alpha, beta):
+        # at alpha + beta = -1 the closed form divides 0/0, while h_0 = C(N, N) = 1
+        p = hahn.HahnParams(alpha, beta, 10)
+        for k in range(11):
+            brute = oracles.frac_norm_brute(k, Fraction(alpha), Fraction(beta), 10)
+            assert hahn.hahn_norm_sq(k, p) == pytest.approx(float(brute), rel=1e-13)
+
+    def test_overflowing_norm_is_an_instability(self):
+        with pytest.raises(errors.InstabilityError, match="overflows"):
+            hahn.hahn_norm_sq(0, hahn.HahnParams(150.0, 150.0, 3000))
 
 
 class TestInnerProduct:

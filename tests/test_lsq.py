@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -85,6 +86,15 @@ class TestFitHahn:
         p = hahn.HahnParams(0.0, 0.0, 3)
         with pytest.raises(errors.DegreeError):
             lsq.fit_hahn(registry.resolve("const1"), 4, p)
+
+    def test_matches_multi_digit_fit_at_the_criterion_07_cell(self):
+        # exp at n = 8, N = 144; closed-form lgamma norms put the fit
+        # 2.8e-14 max|f| off the 50-digit fit at these points
+        p = hahn.HahnParams(0.0, 0.0, 144)
+        a = lsq.fit_hahn(registry.resolve("exp"), 8, p)
+        ts = np.linspace(-1.0, 1.0, 401)
+        reference = np.array(oracles.mp_fit_values(mpmath.exp, 8, 0.0, 144, ts))
+        assert np.max(np.abs(lsq.evaluate(a, ts) - reference)) <= 1e-14 * math.e
 
 
 class TestNormalEquationsOracle:

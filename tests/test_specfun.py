@@ -33,28 +33,6 @@ class TestPochhammer:
             specfun.pochhammer(1.0, -1)
 
 
-class TestLogPochhammer:
-    @pytest.mark.parametrize("a,k", [(1.0, 4), (0.5, 7), (3.25, 2), (10.0, 0)])
-    def test_positive_arguments(self, a, k):
-        log, sign = specfun.log_pochhammer(a, k)
-        assert sign == 1
-        assert math.exp(log) == pytest.approx(specfun.pochhammer(a, k), rel=1e-13)
-
-    def test_negative_argument_signs(self):
-        log, sign = specfun.log_pochhammer(-2.5, 2)
-        # (-2.5)(-1.5) = 3.75
-        assert sign == 1
-        assert math.exp(log) == pytest.approx(3.75, rel=1e-14)
-        log, sign = specfun.log_pochhammer(-2.5, 1)
-        assert sign == -1
-        assert math.exp(log) == pytest.approx(2.5, rel=1e-14)
-
-    def test_zero_factor(self):
-        log, sign = specfun.log_pochhammer(-3.0, 4)
-        assert sign == 0
-        assert log == float("-inf")
-
-
 class TestLogGamma:
     def test_matches_platform_lgamma(self):
         for x in (0.5, 1.0, 2.75, 41.0, 1e5):
