@@ -23,7 +23,7 @@ from .errors import (
     ParameterError,
     ThresholdError,
 )
-from .specfun import gen_binomial, require_normal
+from .specfun import require_normal
 
 # The float recurrence and the fits built on it are validated against the
 # exact series on this range; beyond it nothing has checked them, so we
@@ -69,11 +69,16 @@ def _check_range(n, N):
 
 
 def weight(i, params):
-    """Weight omega(i) = C(alpha+i, i) * C(beta+N-i, N-i), strictly positive."""
+    """Weight omega(i) = C(alpha+i, i) * C(beta+N-i, N-i), strictly positive.
+
+    The same running log1p sums as DiscreteWeight.from_params, so the two
+    agree; a weight past the double range raises an OverflowError.
+    """
     N = params.N
     if i < 0 or i > N:
         raise IndexError(f"grid index must lie in [0, {N}], got {i}")
-    return gen_binomial(params.alpha, i) * gen_binomial(params.beta, N - i)
+    log_value = _log_binomials(params.alpha, i)[-1] + _log_binomials(params.beta, N - i)[-1]
+    return math.exp(log_value)
 
 
 def _log_ratios(a, N):
@@ -156,32 +161,53 @@ def _recurrence_coefficients(n_max, a, b, N):
     return tuple(coefficients)
 
 
-def hahn_table(n_max, xs, params):
-    """Q_0..Q_{n_max} at the points xs, shape (n_max+1, len(xs)).
+def _hahn_rows(n_max, xs, params):
+    """Yield Q_0..Q_{n_max} at the float array xs, one row at a time.
 
     Ascending three-term recurrence in the degree; A_k and C_k are the
     standard forward coefficients.  The k=0 step is written out because
-    C_0 carries a removable 0/0 at alpha + beta = 0.
+    C_0 carries a removable 0/0 at alpha + beta = 0.  Three buffers are
+    reused in place, so a row is valid only until the next one is drawn.
+    The in-place ufuncs take the operations of
+    ((A + C - x) Q_k - C Q_{k-1}) / A in order, so every row is
+    bit-identical to _hahn_column.  No degree or range checks: callers
+    have done them.
     """
+    a, b, N = params.alpha, params.beta, float(params.N)
+    prev = np.ones(xs.size)
+    yield prev
+    if n_max == 0:
+        return
+    cur = 1.0 - xs * (a + b + 2.0) / ((a + 1.0) * N)
+    yield cur
+    spare = np.empty(xs.size)
+    for A, C in _recurrence_coefficients(n_max, a, b, N):
+        prev *= C
+        np.subtract(A + C, xs, out=spare)
+        spare *= cur
+        spare -= prev
+        spare /= A
+        prev, cur, spare = cur, spare, prev
+        yield cur
+
+
+def hahn_table(n_max, xs, params):
+    """Q_0..Q_{n_max} at the points xs, shape (n_max+1, len(xs))."""
     _check_degree(n_max, params.N)
     _check_range(n_max, params.N)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    a, b, N = params.alpha, params.beta, float(params.N)
     out = np.empty((n_max + 1, xs.size))
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = 1.0 - xs * (a + b + 2.0) / ((a + 1.0) * N)
-    for k, (A, C) in enumerate(_recurrence_coefficients(n_max, a, b, N), start=1):
-        out[k + 1] = ((A + C - xs) * out[k] - C * out[k - 1]) / A
+    for k, row in enumerate(_hahn_rows(n_max, xs, params)):
+        out[k] = row
     return out
 
 
 def _hahn_column(n_max, x, params):
     """Q_0..Q_{n_max} at one float x, as a list.
 
-    The recurrence of hahn_table in plain floats, with the same
+    The recurrence of _hahn_rows in plain floats, with the same
     operations in the same order, so each value is bit-identical to the
-    matching hahn_table entry without the per-call cost of numpy on a
+    matching row entry without the per-call cost of numpy on a
     one-point table.  No degree or range checks: callers have done them.
     """
     a, b, N = params.alpha, params.beta, float(params.N)

@@ -5,6 +5,7 @@ sup-error measurement, the sharpness witness, and the class-K membership
 defect.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -99,12 +100,20 @@ def _grid_sum(values):
 
 
 def _weighted_samples(f, n, params):
-    """Grid nodes, samples of f and the scaled weight for a degree-n fit."""
+    """Grid nodes, samples of f and the scaled weight for a degree-n fit.
+
+    A sample that is not finite leaves no fit to compute, so it raises an
+    InstabilityError here rather than a numpy warning in the projection.
+    """
     N = params.N
     if n < 0 or n > N:
         raise DegreeError(f"fit degree must satisfy 0 <= n <= N={N}, got {n}")
     ts = grid_points(N)
-    return ts, _sample(f, ts), hahn.DiscreteWeight.from_params(params).scaled()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fs = _sample(f, ts)
+    if not np.all(np.isfinite(fs)):
+        raise InstabilityError(f"non-finite samples of {f.name} on the grid of N={N}")
+    return ts, fs, hahn.DiscreteWeight.from_params(params).scaled()
 
 
 def _project(values, n, params, w):
@@ -112,10 +121,19 @@ def _project(values, n, params, w):
 
     The coefficients do not change when w is rescaled, so w is the
     scaled weight and the norms are its sum times the recurrence ratios.
+    The recurrence runs against the data (Forsythe 1957): each row Q_k
+    on the grid is contracted as it appears and then dropped.  Finite
+    samples can still sum past the double range; numpy stays quiet about
+    it because Approximant rejects the non-finite coefficient.
     """
-    table = hahn.hahn_table(n, np.arange(params.N + 1, dtype=float), params)
-    norms = w.sum() * hahn._norm_ratios(n, params)
-    return Approximant(params, n, tuple((table @ (values * w) / norms).tolist()))
+    hahn._check_range(n, params.N)
+    fw = values * w
+    dots = np.empty(n + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, row in enumerate(hahn._hahn_rows(n, np.arange(params.N + 1, dtype=float), params)):
+            dots[k] = row @ fw
+        coefficients = dots / (w.sum() * hahn._norm_ratios(n, params))
+    return Approximant(params, n, tuple(coefficients.tolist()))
 
 
 def fit_hahn(f, n, params):
@@ -210,6 +228,60 @@ def _candidates():
     return _candidate_cache
 
 
+@functools.lru_cache(maxsize=64)
+def _chebyshev_transform(n):
+    """First-kind Chebyshev points t_j = cos(pi (j + 1/2)/(n+1)), j = 0..n,
+    and the (n+1)^2 cosine matrix that takes the values of a degree-n
+    polynomial there to its Chebyshev coefficients."""
+    theta = (np.arange(n + 1) + 0.5) * (math.pi / (n + 1))
+    matrix = np.cos(np.outer(np.arange(n + 1), theta)) * (2.0 / (n + 1))
+    matrix[0] *= 0.5
+    return np.cos(theta), matrix
+
+
+# T_0, T_1, ... on _candidates(), in blocks of _CHEBYSHEV_BLOCK rows.  It
+# depends on no parameter, so one table serves every fit; it is built
+# on first use and grows a block at a time, and no block is ever copied.
+_CHEBYSHEV_BLOCK = 16
+_chebyshev_blocks = []
+
+
+def _chebyshev_table(rows):
+    """The blocks holding T_0..T_{rows-1} on _candidates(), grown as needed."""
+    t = _candidates()
+    while len(_chebyshev_blocks) * _CHEBYSHEV_BLOCK < rows:
+        block = np.empty((_CHEBYSHEV_BLOCK, t.size))
+        if _chebyshev_blocks:
+            older, old = _chebyshev_blocks[-1][-2:]
+            start = 0
+        else:
+            block[0], block[1] = 1.0, t
+            older, old = block[:2]
+            start = 2
+        for row in block[start:]:
+            # T_{k+1} = 2 t T_k - T_{k-1}
+            np.multiply(old, t, out=row)
+            row *= 2.0
+            row -= older
+            older, old = old, row
+        _chebyshev_blocks.append(block)
+    return _chebyshev_blocks
+
+
+def _scan(a):
+    """The approximant on _candidates(): its Chebyshev coefficients from
+    its values at n+1 Chebyshev points, summed against the shared table
+    by one matrix-vector product per block."""
+    nodes, matrix = _chebyshev_transform(a.degree)
+    coefficients = matrix @ evaluate(a, nodes)
+    blocks = _chebyshev_table(a.degree + 1)
+    out = np.zeros(_candidates().size)
+    for start in range(0, a.degree + 1, _CHEBYSHEV_BLOCK):
+        part = coefficients[start : start + _CHEBYSHEV_BLOCK]
+        out += part @ blocks[start // _CHEBYSHEV_BLOCK][: part.size]
+    return out
+
+
 def _golden_max(g, lo, hi, rel_tol=1e-10):
     tol = rel_tol * max(1.0, abs(lo), abs(hi))
     c = hi - _INVPHI * (hi - lo)
@@ -233,11 +305,13 @@ def sup_error(f, a, bound=None):
 
     Dense composite grid first, then a golden-section polish of the
     bracket around the grid argmax down to relative width 1e-10.  Ties
-    resolve to the leftmost grid point.  When `bound` is given the
-    report also carries the ratio sup_error/bound.
+    resolve to the leftmost grid point.  On the grid the approximant is
+    summed in the Chebyshev basis (see _scan); the polish evaluates it
+    in the Hahn basis.  When `bound` is given the report also carries
+    the ratio sup_error/bound.
     """
     cand = _candidates()
-    errs = np.abs(_sample(f, cand) - evaluate(a, cand))
+    errs = np.abs(_sample(f, cand) - _scan(a))
     i = int(np.argmax(errs))
     best_t, best_v = float(cand[i]), float(errs[i])
     lo = float(cand[i - 1]) if i > 0 else float(cand[0])
@@ -283,8 +357,10 @@ def extremal_function(n, params):
         arr = np.asarray(t, dtype=float)
         if arr.ndim == 0:
             return front * hahn._hahn_column(n + 1, N * (1.0 + float(arr)) / 2.0, params)[n + 1]
-        xs = N * (1.0 + arr.ravel()) / 2.0
-        return (front * hahn.hahn_table(n + 1, xs, params)[n + 1]).reshape(arr.shape)
+        hahn._check_range(n + 1, N)
+        for row in hahn._hahn_rows(n + 1, N * (1.0 + arr.ravel()) / 2.0, params):
+            pass
+        return (front * row).reshape(arr.shape)
 
     def derivative_sup(order):
         if order == n + 1:

@@ -194,13 +194,19 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "args",
-        [["basis", "--alpha", "150", "--nodes", "3000", "--n", "1"]],
-        ids=["basis-alpha-150"],
+        [
+            ["basis", "--alpha", "150", "--nodes", "3000", "--n", "1"],
+            ["fit", "--function", "poly:1e308,1e308", "--n", "1", "--nodes", "10"],
+            ["fit", "--function", "poly:1e308", "--n", "1", "--nodes", "10"],
+        ],
+        ids=["basis-alpha-150", "fit-infinite-samples", "fit-sum-overflows"],
     )
     def test_overflow_is_reported_once(self, args, capsys):
-        # basis prints the raw weights and norms, which overflow here;
-        # numpy's RuntimeWarning must not print ahead of the one line
-        # that reports it
+        # basis prints the raw weights and norms, which overflow here; the
+        # first fit's target is inf at t = 1, and the second one's finite
+        # samples sum past the double range in the projection.  numpy's
+        # RuntimeWarning must not print ahead of the one line that
+        # reports it
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(args, capsys)

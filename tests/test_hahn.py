@@ -68,6 +68,15 @@ class TestWeight:
         side = np.array(oracles.mp_log_binomials(alpha, N))
         assert np.max(np.abs(w.log_values - (side + side[::-1]))) <= 1e-12
 
+    @pytest.mark.parametrize("alpha,N", [(0.0133, 12960), (1.1687, 9362)])
+    def test_pointwise_weight_matches_the_weight_vector(self, alpha, N):
+        # a per-node lgamma difference was up to 3.5e-11 off the vector here
+        params = hahn.HahnParams(alpha, alpha, N)
+        nodes = np.arange(0, N + 1, 97)
+        vector = hahn.DiscreteWeight.from_params(params).values[nodes]
+        pointwise = np.array([hahn.weight(int(i), params) for i in nodes])
+        assert np.max(np.abs(pointwise / vector - 1.0)) <= 1e-14
+
     def test_large_alpha_overflows_values_but_not_the_scaled_weight(self):
         w = hahn.DiscreteWeight.from_params(hahn.HahnParams(150.0, 150.0, 3000))
         assert np.isinf(w.values).any()

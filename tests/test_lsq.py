@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -81,6 +82,13 @@ class TestFitHahn:
                     assert abs(g) <= 1e-13
                 else:
                     assert g == pytest.approx(float(w), rel=1e-12)
+
+    def test_non_finite_samples_are_rejected_without_warnings(self):
+        pole = lsq.FunctionSpec("pole", lambda t: 1.0 / (1.0 - t))  # inf at t = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.InstabilityError, match="non-finite samples of pole"):
+                lsq.fit_hahn(pole, 2, hahn.HahnParams(0.0, 0.0, 10))
 
     def test_degree_above_grid(self):
         p = hahn.HahnParams(0.0, 0.0, 3)
