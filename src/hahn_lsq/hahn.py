@@ -149,8 +149,9 @@ def _recurrence_coefficients(n_max, a, b, N):
         A_k Q_{k+1}(x) = (A_k + C_k - x) Q_k(x) - C_k Q_{k-1}(x).
 
     They drive the tables and, through A_{k-1} h_k = C_k h_{k-1}, the
-    norms.  Cached, because the golden-section polish evaluates one
-    family at a few dozen single points in a row.
+    norms.  Cached for the witness's scalar path: the golden-section
+    polish of a sharpness run evaluates one family at a few dozen single
+    points in a row.
     """
     coefficients = []
     for k in range(1, n_max):
@@ -278,6 +279,9 @@ def normalized_hahn_eval(k, t, params):
     return (-1) ** k * hahn_eval(k, x, params) / math.sqrt(hahn_norm_sq(k, params))
 
 
+_ENDPOINT_CHUNK = 4096
+
+
 def endpoint_max_check(n, alpha, N, refine=64):
     """True iff Q_n(.; alpha, alpha, N) attains its maximum modulus at the
     grid endpoints, with Q_n(0) = 1 and Q_n(N) = (-1)^n, all within 1e-10.
@@ -295,12 +299,17 @@ def endpoint_max_check(n, alpha, N, refine=64):
             f"endpoint maximum asserted only for n <= n(alpha,N)={threshold:.6g}, got n={n}"
         )
     _check_degree(n, N)
-    xs = np.linspace(0.0, N, refine * N + 1)
-    vals = hahn_table(n, xs, params)[n]
+    _check_range(n, N)
     tol = 1e-10
-    if abs(vals[0] - 1.0) > tol:
+    first, last = _hahn_column(n, 0.0, params)[n], _hahn_column(n, float(N), params)[n]
+    if abs(first - 1.0) > tol or abs(last - (-1.0) ** n) > tol:
         return False
-    if abs(vals[-1] - (-1.0) ** n) > tol:
-        return False
-    endpoint = max(abs(vals[0]), abs(vals[-1]))
-    return bool(np.max(np.abs(vals)) <= endpoint + tol)
+    # the refined grid i / refine goes through the recurrence a chunk at a
+    # time, and only the top row of each chunk is kept
+    top, size = 0.0, refine * N + 1
+    for start in range(0, size, _ENDPOINT_CHUNK):
+        xs = np.arange(start, min(start + _ENDPOINT_CHUNK, size), dtype=float) / refine
+        for row in _hahn_rows(n, xs, params):
+            pass
+        top = np.maximum(top, np.abs(row, out=row).max())
+    return bool(top <= max(abs(first), abs(last)) + tol)

@@ -122,16 +122,29 @@ def _project(values, n, params, w):
     The coefficients do not change when w is rescaled, so w is the
     scaled weight and the norms are its sum times the recurrence ratios.
     The recurrence runs against the data (Forsythe 1957): each row Q_k
-    on the grid is contracted as it appears and then dropped.  Finite
-    samples can still sum past the double range; numpy stays quiet about
-    it because Approximant rejects the non-finite coefficient.
+    on the grid is contracted as it appears and then dropped.  A
+    symmetric family has Q_k(N - x) = (-1)^k Q_k(x), so its rows run on
+    x = 0..N//2 only, against the even or the odd fold of the data.
+    Finite samples can still sum past the double range; numpy stays
+    quiet about it because Approximant rejects the non-finite coefficient.
     """
-    hahn._check_range(n, params.N)
-    fw = values * w
+    N = params.N
+    hahn._check_range(n, N)
     dots = np.empty(n + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, row in enumerate(hahn._hahn_rows(n, np.arange(params.N + 1, dtype=float), params)):
-            dots[k] = row @ fw
+        fw = values * w
+        if params.symmetric:
+            last = N // 2
+            head, tail = fw[: last + 1], fw[::-1][: last + 1]
+            folds = (head + tail, head - tail)
+            if N % 2 == 0:
+                # the middle node is its own mirror: once in the even fold,
+                # and head - tail already cancels it from the odd one
+                folds[0][last] = fw[last]
+        else:
+            last, folds = N, (fw, fw)
+        for k, row in enumerate(hahn._hahn_rows(n, np.arange(last + 1, dtype=float), params)):
+            dots[k] = row @ folds[k % 2]
         coefficients = dots / (w.sum() * hahn._norm_ratios(n, params))
     return Approximant(params, n, tuple(coefficients.tolist()))
 
@@ -200,32 +213,32 @@ def fit_normal_equations(f, n, params):
 
 
 def evaluate(a, t):
-    """Evaluate sum_k c_k Q_k(N(1+t)/2) at t (scalar or array).
-
-    A scalar t takes the plain-float recurrence; its values, and the
-    matrix product that sums them, are those of a one-point table.
-    """
+    """Evaluate sum_k c_k Q_k(N(1+t)/2) at t (scalar or array); a scalar
+    t is a one-point table and gives a float."""
     arr = np.asarray(t, dtype=float)
-    if arr.ndim == 0:
-        column = hahn._hahn_column(a.degree, a.params.N * (1.0 + float(arr)) / 2.0, a.params)
-        return float((np.asarray(a.coefficients) @ np.array(column)[:, None])[0])
     xs = a.params.N * (1.0 + arr.ravel()) / 2.0
-    table = hahn.hahn_table(a.degree, xs, a.params)
-    return (np.asarray(a.coefficients) @ table).reshape(arr.shape)
+    values = np.asarray(a.coefficients) @ hahn.hahn_table(a.degree, xs, a.params)
+    return float(values[0]) if arr.ndim == 0 else values.reshape(arr.shape)
 
 
-_candidate_cache = None
+@functools.lru_cache(maxsize=None)
+def _half_candidates():
+    """The candidates with t >= 0: 5001 equispaced points union the
+    Chebyshev extrema cos(k pi/4096), k < 2048, ascending from an exact 0
+    (the equispaced one, in place of cos(pi/2) = 6e-17) to 1."""
+    half = np.union1d(np.linspace(0.0, 1.0, 5001), np.cos(np.arange(2048) * (math.pi / 4096.0)))
+    half.flags.writeable = False
+    return half
 
 
+@functools.lru_cache(maxsize=None)
 def _candidates():
-    # 10001 equispaced points union 4097 Chebyshev points, endpoints
-    # included; sorted ascending so tie-breaks are reproducible.
-    global _candidate_cache
-    if _candidate_cache is None:
-        eq = np.linspace(-1.0, 1.0, 10001)
-        ch = np.cos(np.arange(4097) * (math.pi / 4096.0))
-        _candidate_cache = np.union1d(eq, ch)
-    return _candidate_cache
+    """The 14095 sup_error candidates on [-1,1]: _half_candidates() and its
+    mirror image, ascending, so tie-breaks are reproducible."""
+    half = _half_candidates()
+    out = np.concatenate((-half[:0:-1], half))
+    out.flags.writeable = False
+    return out
 
 
 @functools.lru_cache(maxsize=64)
@@ -239,16 +252,23 @@ def _chebyshev_transform(n):
     return np.cos(theta), matrix
 
 
-# T_0, T_1, ... on _candidates(), in blocks of _CHEBYSHEV_BLOCK rows.  It
-# depends on no parameter, so one table serves every fit; it is built
+def _chebyshev_coefficients(a):
+    """The approximant's Chebyshev coefficients, from its values at n+1
+    Chebyshev points."""
+    nodes, matrix = _chebyshev_transform(a.degree)
+    return matrix @ evaluate(a, nodes)
+
+
+# T_0, T_1, ... on _half_candidates(), in blocks of _CHEBYSHEV_BLOCK rows.
+# It depends on no parameter, so one table serves every fit; it is built
 # on first use and grows a block at a time, and no block is ever copied.
 _CHEBYSHEV_BLOCK = 16
 _chebyshev_blocks = []
 
 
 def _chebyshev_table(rows):
-    """The blocks holding T_0..T_{rows-1} on _candidates(), grown as needed."""
-    t = _candidates()
+    """The blocks holding T_0..T_{rows-1} on _half_candidates(), grown as needed."""
+    t = _half_candidates()
     while len(_chebyshev_blocks) * _CHEBYSHEV_BLOCK < rows:
         block = np.empty((_CHEBYSHEV_BLOCK, t.size))
         if _chebyshev_blocks:
@@ -268,18 +288,31 @@ def _chebyshev_table(rows):
     return _chebyshev_blocks
 
 
-def _scan(a):
-    """The approximant on _candidates(): its Chebyshev coefficients from
-    its values at n+1 Chebyshev points, summed against the shared table
-    by one matrix-vector product per block."""
-    nodes, matrix = _chebyshev_transform(a.degree)
-    coefficients = matrix @ evaluate(a, nodes)
-    blocks = _chebyshev_table(a.degree + 1)
-    out = np.zeros(_candidates().size)
-    for start in range(0, a.degree + 1, _CHEBYSHEV_BLOCK):
+def _scan(a, coefficients=None):
+    """The approximant on _candidates(), from its Chebyshev coefficients
+    (_chebyshev_coefficients(a) unless given).  T_k(-t) = (-1)^k T_k(t),
+    so the even part E and the odd part O are summed apart against the
+    shared table on t >= 0, one matrix-vector product per block and
+    parity, and p(+-t) = E(t) +- O(t)."""
+    if coefficients is None:
+        coefficients = _chebyshev_coefficients(a)
+    blocks = _chebyshev_table(coefficients.size)
+    even, odd = np.zeros((2, _half_candidates().size))
+    for start in range(0, coefficients.size, _CHEBYSHEV_BLOCK):
         part = coefficients[start : start + _CHEBYSHEV_BLOCK]
-        out += part @ blocks[start // _CHEBYSHEV_BLOCK][: part.size]
-    return out
+        block = blocks[start // _CHEBYSHEV_BLOCK][: part.size]
+        even += part[0::2] @ block[0::2]
+        odd += part[1::2] @ block[1::2]
+    return np.concatenate(((even - odd)[:0:-1], even + odd))
+
+
+def _clenshaw(coefficients, t):
+    """sum_k c_k T_k(t) for a list of coefficients, by Clenshaw's
+    recurrence (Clenshaw 1955) in plain floats."""
+    b1 = b2 = 0.0
+    for c in coefficients[:0:-1]:
+        b1, b2 = c + 2.0 * t * b1 - b2, b1
+    return coefficients[0] + t * b1 - b2
 
 
 def _golden_max(g, lo, hi, rel_tol=1e-10):
@@ -305,20 +338,22 @@ def sup_error(f, a, bound=None):
 
     Dense composite grid first, then a golden-section polish of the
     bracket around the grid argmax down to relative width 1e-10.  Ties
-    resolve to the leftmost grid point.  On the grid the approximant is
-    summed in the Chebyshev basis (see _scan); the polish evaluates it
-    in the Hahn basis.  When `bound` is given the report also carries
-    the ratio sup_error/bound.
+    resolve to the leftmost grid point.  Both sum the approximant from
+    the same Chebyshev coefficients: the grid by _scan, the polish by
+    Clenshaw's recurrence.  When `bound` is given the report also
+    carries the ratio sup_error/bound.
     """
     cand = _candidates()
-    errs = np.abs(_sample(f, cand) - _scan(a))
+    coefficients = _chebyshev_coefficients(a)
+    errs = np.abs(_sample(f, cand) - _scan(a, coefficients))
     i = int(np.argmax(errs))
     best_t, best_v = float(cand[i]), float(errs[i])
     lo = float(cand[i - 1]) if i > 0 else float(cand[0])
     hi = float(cand[i + 1]) if i + 1 < cand.size else float(cand[-1])
+    series = coefficients.tolist()
 
     def local_error(t):
-        return abs(_sample_scalar(f, t) - evaluate(a, t))
+        return abs(_sample_scalar(f, t) - _clenshaw(series, t))
 
     refined_t, refined_v = _golden_max(local_error, lo, hi)
     if refined_v > best_v:
@@ -336,8 +371,9 @@ def extremal_function(n, params):
     Unit (n+1)-st derivative sup by construction, zero least-squares fit
     at degree n by orthogonality, so its sup error is exactly the
     worst-case constant, which is also its scale.  Requires the symmetric
-    weight and the degree hypothesis n+1 <= n(alpha, N); a D below the
-    smallest normal double raises an InstabilityError.
+    weight and the degree hypothesis n+1 <= n(alpha, N).  A D below the
+    smallest normal double, or one that does not give f* a unit
+    (n+1)-st derivative, raises an InstabilityError.
     """
     if not params.symmetric:
         raise ParameterError(
@@ -352,6 +388,19 @@ def extremal_function(n, params):
     if n + 1 > N:
         raise DegreeError(f"witness needs n+1 <= N, got n={n}, N={N}")
     front = (-1.0) ** (n + 1) * bounds.worst_case_constant(n, N, alpha)
+    # f*^{(n+1)} = D (n+1)! (N/2)^{n+1} lead_x Q_{n+1} must have modulus 1,
+    # which checks D against the recurrence.  lead_x Q_{n+1} is
+    # (-1)^{n+1} (a+b+2) / ((a+1) N prod_{k=1..n} A_k), which is 2/N over
+    # the product when a = b, leaving (N/2)^n; the check is taken in logs.
+    a, b = params.alpha, params.beta
+    logs = [math.log(abs(front)), math.lgamma(n + 2.0), n * math.log(N / 2.0)]
+    logs += [-math.log(A) for A, _ in hahn._recurrence_coefficients(n + 1, a, b, float(N))]
+    deviation = math.expm1(math.fsum(logs))
+    if abs(deviation) > 1e-10:
+        raise InstabilityError(
+            f"witness scale off by {deviation:.3e} relative: D_{{n,N}} disagrees with "
+            f"the leading coefficient of Q_{n + 1} (n={n}, N={N}, alpha={alpha})"
+        )
 
     def evaluator(t):
         arr = np.asarray(t, dtype=float)

@@ -254,3 +254,31 @@ def chebyshev2_inner(f, g, m=260):
     nodes = np.cos(theta)
     weights = (math.pi / (m + 1)) * np.sin(theta) ** 2
     return float(np.sum(weights * f(nodes) * g(nodes)))
+
+
+def longdouble_fit(fs, n, alpha, beta, N):
+    """Hahn coefficients c_0..c_n of the samples fs on the grid 0..N, with
+    the package's log1p weights, three-term recurrence and norm ratios
+    carried in extended precision (np.longdouble); the samples stay the
+    given doubles."""
+    ld = np.longdouble
+    a, b, N_ = ld(alpha), ld(beta), ld(N)
+    j = np.arange(1, N + 1, dtype=ld)
+    left = np.concatenate(([ld(0)], np.cumsum(np.log1p(a / j))))
+    right = np.concatenate(([ld(0)], np.cumsum(np.log1p(b / j))))
+    logs = left + right[::-1]
+    w = np.exp(logs - logs.max())
+    fw = np.asarray(fs, dtype=ld) * w
+    x = np.arange(N + 1, dtype=ld)
+    prev, cur = np.ones(N + 1, dtype=ld), 1 - x * (a + b + 2) / ((a + 1) * N_)
+    dots, ratios = [prev @ fw], [ld(1)]
+    A_prev = (a + 1) * N_ / (a + b + 2)
+    for k in range(1, n + 1):
+        dots.append(cur @ fw)
+        s = a + b + 2 * k
+        A = (k + a + b + 1) * (k + a + 1) * (N_ - k) / ((s + 1) * (s + 2))
+        C = k * (k + a + b + N_ + 1) * (k + b) / (s * (s + 1))
+        ratios.append(ratios[-1] * C / A_prev)
+        A_prev = A
+        prev, cur = cur, ((A + C - x) * cur - C * prev) / A
+    return np.array(dots, dtype=ld) / (w.sum() * np.array(ratios, dtype=ld))

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hahn_lsq import cli, errors, hahn, lsq, registry
+from hahn_lsq import bounds, cli, errors, hahn, lsq, registry
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -422,6 +422,19 @@ class TestSharpnessCommand:
         code, out, _ = run_cli(args, capsys)
         assert code == 0
         assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+    def test_wrong_constant_exits_unstable(self, monkeypatch, capsys):
+        # the witness and the bound share D, so measured / bound cannot see
+        # a wrong D; the witness checks it against the recurrence instead
+        exact = bounds.worst_case_constant
+        monkeypatch.setattr(
+            bounds, "worst_case_constant", lambda n, N, alpha: exact(n, N, alpha) * (1 + 1e-6)
+        )
+        args = ["sharpness", "--alpha", "0.5", "--n", "3", "--nodes", "40"]
+        code, out, err = run_cli(args, capsys)
+        assert code == 4
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "witness scale" in err
 
 
 class TestConvergenceCommand:
