@@ -111,12 +111,27 @@ def build_parser():
     return parser
 
 
-def _resolve_nodes(config, n, default_rule="c4"):
+def _resolve_nodes(config, n):
     if config.nodes is not None:
         return config.nodes
-    rule = config.node_rule or default_rule
+    rule = config.node_rule or "c4"
     c3, c4 = bnd.min_nodes(n, config.alpha)
     return c3 if rule == "c3" else c4
+
+
+def _fit_bound(f, n, params):
+    """The paper's bound D_{n,N} sup|f^{(n+1)}| on a fit's sup error, or
+    None where it does not apply: no derivative bound, an asymmetric
+    weight, alpha <= -1/2, or n+1 past the degree threshold."""
+    alpha, N = params.alpha, params.N
+    if f.derivative_sup is None or not params.symmetric or alpha <= -0.5:
+        return None
+    if not bnd.hypothesis_holds(n, N, alpha):
+        return None
+    try:
+        return bnd.worst_case_constant(n, N, alpha) * float(f.derivative_sup(n + 1))
+    except MissingDerivativeBoundError:
+        return None
 
 
 def _require_symmetric(config):
@@ -175,16 +190,7 @@ def cmd_fit(config):
     params = config.params_for(config.nodes)
     f = registry.resolve(config.function, params)
     approx = lsq.fit_hahn(f, n, params)
-    bound = None
-    if f.derivative_sup is not None and params.symmetric and config.alpha > -0.5:
-        if bnd.hypothesis_holds(n, params.N, config.alpha):
-            try:
-                bound = bnd.worst_case_constant(n, params.N, config.alpha) * float(
-                    f.derivative_sup(n + 1)
-                )
-            except MissingDerivativeBoundError:
-                bound = None
-    report = lsq.sup_error(f, approx, bound=bound)
+    report = lsq.sup_error(f, approx, bound=_fit_bound(f, n, params))
     # a zero bound (polynomial reproduced exactly) makes the quotient
     # infinite; serialize that as an empty cell, not "inf"
     ratio = report.ratio
@@ -237,7 +243,8 @@ def cmd_sharpness(config):
     code = EXIT_OK
     if worst_gap > SHARPNESS_GAP_TOL:
         print(
-            f"sharpness gap {worst_gap:.3e} exceeds tolerance {SHARPNESS_GAP_TOL:.1e}",
+            f"{InstabilityError.prefix}: sharpness gap {worst_gap:.3e} "
+            f"exceeds tolerance {SHARPNESS_GAP_TOL:.1e}",
             file=sys.stderr,
         )
         code = EXIT_UNSTABLE
@@ -258,18 +265,14 @@ def cmd_convergence(config):
                 f"convergence requires a function with derivative bounds, {f.name} has none"
             )
         approx = lsq.fit_hahn(f, n, params)
-        try:
-            bound = bnd.worst_case_constant(n, N, config.alpha) * float(f.derivative_sup(n + 1))
-        except ThresholdError:
-            bound = None
-        report = lsq.sup_error(f, approx, bound=bound)
+        report = lsq.sup_error(f, approx, bound=_fit_bound(f, n, params))
         defect = lsq.class_K_defect(f, n, config.alpha)
         rows.append(
             {
                 "n": n,
                 "N": N,
                 "sup_error": report.sup_error,
-                "bound": bound,
+                "bound": report.bound,
                 "class_K_defect": defect,
             }
         )

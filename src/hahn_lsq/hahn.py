@@ -9,6 +9,8 @@ run in floats.
 
 import functools
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,13 +60,22 @@ def _check_degree(n, N, what="degree"):
         raise DegreeError(f"{what} must satisfy 0 <= n <= N={N}, got {n}")
 
 
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
 def _check_range(n, N):
     if n > MAX_VALIDATED_DEGREE or N > MAX_VALIDATED_NODES:
+        # file the warning under the first caller outside the package, so
+        # that it names the caller's line whichever package function
+        # reached this check (skip_file_prefixes needs Python 3.12)
+        level, frame = 2, sys._getframe(1)
+        while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+            level, frame = level + 1, frame.f_back
         warnings.warn(
             f"double precision validated for n <= {MAX_VALIDATED_DEGREE}, "
             f"N <= {MAX_VALIDATED_NODES}; got n={n}, N={N}",
             NumericalRangeWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
 
 
@@ -149,9 +160,9 @@ def _recurrence_coefficients(n_max, a, b, N):
         A_k Q_{k+1}(x) = (A_k + C_k - x) Q_k(x) - C_k Q_{k-1}(x).
 
     They drive the tables and, through A_{k-1} h_k = C_k h_{k-1}, the
-    norms.  Cached for the witness's scalar path: the golden-section
-    polish of a sharpness run evaluates one family at a few dozen single
-    points in a row.
+    norms.  Cached because at a single float x building them would cost
+    as much as the recurrence itself: the golden-section polish of a
+    sharpness run evaluates one witness at a few dozen points in a row.
     """
     coefficients = []
     for k in range(1, n_max):
@@ -162,34 +173,41 @@ def _recurrence_coefficients(n_max, a, b, N):
     return tuple(coefficients)
 
 
-def _hahn_rows(n_max, xs, params):
-    """Yield Q_0..Q_{n_max} at the float array xs, one row at a time.
+def _hahn_rows(n_max, x, params):
+    """Yield Q_0..Q_{n_max} at x, a float or a float array, one row at a time.
 
     Ascending three-term recurrence in the degree; A_k and C_k are the
     standard forward coefficients.  The k=0 step is written out because
-    C_0 carries a removable 0/0 at alpha + beta = 0.  Three buffers are
-    reused in place, so a row is valid only until the next one is drawn.
-    The in-place ufuncs take the operations of
-    ((A + C - x) Q_k - C Q_{k-1}) / A in order, so every row is
-    bit-identical to _hahn_column.  No degree or range checks: callers
-    have done them.
+    C_0 carries a removable 0/0 at alpha + beta = 0.  Augmented
+    assignment updates an array in place and rebinds a float, so both
+    take the operations of ((A + C - x) Q_k - C Q_{k-1}) / A in the same
+    order and give the same bits; an array row is valid only until the
+    next one is drawn.  No degree or range checks: callers have done them.
     """
     a, b, N = params.alpha, params.beta, float(params.N)
-    prev = np.ones(xs.size)
+    # x ** 0 is exactly 1.0 at every x, inf and nan included, where
+    # 1.0 + 0.0 * x is not
+    prev = x**0
     yield prev
     if n_max == 0:
         return
-    cur = 1.0 - xs * (a + b + 2.0) / ((a + 1.0) * N)
+    cur = 1.0 - x * (a + b + 2.0) / ((a + 1.0) * N)
     yield cur
-    spare = np.empty(xs.size)
     for A, C in _recurrence_coefficients(n_max, a, b, N):
         prev *= C
-        np.subtract(A + C, xs, out=spare)
+        spare = A + C - x
         spare *= cur
         spare -= prev
         spare /= A
-        prev, cur, spare = cur, spare, prev
+        prev, cur = cur, spare
         yield cur
+
+
+def _hahn_top(n, x, params):
+    """Q_n at x, a float or a float array: the last row of _hahn_rows."""
+    for row in _hahn_rows(n, x, params):
+        pass
+    return row
 
 
 def hahn_table(n_max, xs, params):
@@ -200,23 +218,6 @@ def hahn_table(n_max, xs, params):
     out = np.empty((n_max + 1, xs.size))
     for k, row in enumerate(_hahn_rows(n_max, xs, params)):
         out[k] = row
-    return out
-
-
-def _hahn_column(n_max, x, params):
-    """Q_0..Q_{n_max} at one float x, as a list.
-
-    The recurrence of _hahn_rows in plain floats, with the same
-    operations in the same order, so each value is bit-identical to the
-    matching row entry without the per-call cost of numpy on a
-    one-point table.  No degree or range checks: callers have done them.
-    """
-    a, b, N = params.alpha, params.beta, float(params.N)
-    out = [1.0]
-    if n_max >= 1:
-        out.append(1.0 - x * (a + b + 2.0) / ((a + 1.0) * N))
-    for A, C in _recurrence_coefficients(n_max, a, b, N):
-        out.append(((A + C - x) * out[-1] - C * out[-2]) / A)
     return out
 
 
@@ -301,7 +302,7 @@ def endpoint_max_check(n, alpha, N, refine=64):
     _check_degree(n, N)
     _check_range(n, N)
     tol = 1e-10
-    first, last = _hahn_column(n, 0.0, params)[n], _hahn_column(n, float(N), params)[n]
+    first, last = _hahn_top(n, 0.0, params), _hahn_top(n, float(N), params)
     if abs(first - 1.0) > tol or abs(last - (-1.0) ** n) > tol:
         return False
     # the refined grid i / refine goes through the recurrence a chunk at a
@@ -309,7 +310,6 @@ def endpoint_max_check(n, alpha, N, refine=64):
     top, size = 0.0, refine * N + 1
     for start in range(0, size, _ENDPOINT_CHUNK):
         xs = np.arange(start, min(start + _ENDPOINT_CHUNK, size), dtype=float) / refine
-        for row in _hahn_rows(n, xs, params):
-            pass
+        row = _hahn_top(n, xs, params)
         top = np.maximum(top, np.abs(row, out=row).max())
     return bool(top <= max(abs(first), abs(last)) + tol)

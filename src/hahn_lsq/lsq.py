@@ -48,10 +48,7 @@ class Approximant:
     coefficients: tuple
 
     def __post_init__(self):
-        if self.degree < 0 or self.degree > self.params.N:
-            raise DegreeError(
-                f"approximant degree must satisfy 0 <= n <= N={self.params.N}, got {self.degree}"
-            )
+        hahn._check_degree(self.degree, self.params.N, "approximant degree")
         if len(self.coefficients) != self.degree + 1:
             raise ParameterError(
                 f"expected {self.degree + 1} coefficients, got {len(self.coefficients)}"
@@ -106,8 +103,7 @@ def _weighted_samples(f, n, params):
     InstabilityError here rather than a numpy warning in the projection.
     """
     N = params.N
-    if n < 0 or n > N:
-        raise DegreeError(f"fit degree must satisfy 0 <= n <= N={N}, got {n}")
+    hahn._check_degree(n, N, "fit degree")
     ts = grid_points(N)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         fs = _sample(f, ts)
@@ -288,14 +284,11 @@ def _chebyshev_table(rows):
     return _chebyshev_blocks
 
 
-def _scan(a, coefficients=None):
-    """The approximant on _candidates(), from its Chebyshev coefficients
-    (_chebyshev_coefficients(a) unless given).  T_k(-t) = (-1)^k T_k(t),
-    so the even part E and the odd part O are summed apart against the
-    shared table on t >= 0, one matrix-vector product per block and
-    parity, and p(+-t) = E(t) +- O(t)."""
-    if coefficients is None:
-        coefficients = _chebyshev_coefficients(a)
+def _scan(coefficients):
+    """The Chebyshev series with these coefficients on _candidates().
+    T_k(-t) = (-1)^k T_k(t), so the even part E and the odd part O are
+    summed apart against the shared table on t >= 0, one matrix-vector
+    product per block and parity, and p(+-t) = E(t) +- O(t)."""
     blocks = _chebyshev_table(coefficients.size)
     even, odd = np.zeros((2, _half_candidates().size))
     for start in range(0, coefficients.size, _CHEBYSHEV_BLOCK):
@@ -315,8 +308,8 @@ def _clenshaw(coefficients, t):
     return coefficients[0] + t * b1 - b2
 
 
-def _golden_max(g, lo, hi, rel_tol=1e-10):
-    tol = rel_tol * max(1.0, abs(lo), abs(hi))
+def _golden_max(g, lo, hi):
+    tol = 1e-10 * max(1.0, abs(lo), abs(hi))
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
     gc, gd = g(c), g(d)
@@ -345,7 +338,7 @@ def sup_error(f, a, bound=None):
     """
     cand = _candidates()
     coefficients = _chebyshev_coefficients(a)
-    errs = np.abs(_sample(f, cand) - _scan(a, coefficients))
+    errs = np.abs(_sample(f, cand) - _scan(coefficients))
     i = int(np.argmax(errs))
     best_t, best_v = float(cand[i]), float(errs[i])
     lo = float(cand[i - 1]) if i > 0 else float(cand[0])
@@ -402,14 +395,11 @@ def extremal_function(n, params):
             f"the leading coefficient of Q_{n + 1} (n={n}, N={N}, alpha={alpha})"
         )
 
+    hahn._check_range(n + 1, N)
+
     def evaluator(t):
-        arr = np.asarray(t, dtype=float)
-        if arr.ndim == 0:
-            return front * hahn._hahn_column(n + 1, N * (1.0 + float(arr)) / 2.0, params)[n + 1]
-        hahn._check_range(n + 1, N)
-        for row in hahn._hahn_rows(n + 1, N * (1.0 + arr.ravel()) / 2.0, params):
-            pass
-        return (front * row).reshape(arr.shape)
+        # a float t stays a float, so the polish runs in plain floats
+        return front * hahn._hahn_top(n + 1, N * (1.0 + t) / 2.0, params)
 
     def derivative_sup(order):
         if order == n + 1:

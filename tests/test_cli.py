@@ -436,8 +436,39 @@ class TestSharpnessCommand:
         assert out == ""
         assert len(err.splitlines()) == 1 and "witness scale" in err
 
+    def test_gap_past_tolerance_exits_unstable_after_the_rows(self, monkeypatch, capsys):
+        exact = lsq.sup_error
+
+        def widened(f, a, bound=None):
+            report = exact(f, a, bound)
+            return lsq.ErrorReport(report.sup_error * (1 + 1e-6), report.argmax)
+
+        monkeypatch.setattr(lsq, "sup_error", widened)
+        args = ["sharpness", "--alpha", "0.5", "--n", "3", "--nodes", "40"]
+        code, out, err = run_cli(args, capsys)
+        assert code == 4
+        (row,) = csv_rows(out)
+        assert float(row["rel_gap"]) == pytest.approx(1e-6, rel=1e-6)
+        assert err.splitlines()[-1].startswith("numerical instability: sharpness gap 1.000e-06")
+
 
 class TestConvergenceCommand:
+    @pytest.mark.parametrize(
+        "alpha,nodes",
+        # n+1 > N, where D is undefined, and alpha = -1/2, where the degree
+        # threshold is undefined
+        [("0", "3"), ("-0.5", "30")],
+        ids=["n-plus-1-above-N", "alpha-minus-half"],
+    )
+    def test_bound_cells_that_do_not_apply_are_empty_as_in_fit(self, alpha, nodes, capsys):
+        common = ["--function", "exp", "--alpha", alpha, "--nodes", nodes, "--n", "3"]
+        code, out, _ = run_cli(["convergence", *common], capsys)
+        assert code == 0
+        assert csv_rows(out)[0]["bound"] == ""
+        code, out, _ = run_cli(["fit", *common], capsys)
+        assert code == 0
+        assert {r["kind"]: r["value"] for r in csv_rows(out)}["bound"] == ""
+
     def test_matches_golden(self, capsys):
         code, out, _ = run_cli(
             ["convergence", "--function", "exp", "--alpha", "0", "--node-rule", "c4",

@@ -282,6 +282,30 @@ class TestExtremalFunction:
         assert float(diffs[0]) * math.factorial(m) == pytest.approx(1.0, rel=1e-13, abs=0.0)
 
 
+# degree 41 is past the validated degree 40; the witness of degree
+# n + 1 = 41 needs N >= 2 n (n + 1) = 3280 for the degree hypothesis
+_PAST_RANGE = hahn.HahnParams(0.0, 0.0, 2 * 41 * 42)
+_PAST_RANGE_FIT = lsq.Approximant(_PAST_RANGE, 41, (1.0,) * 42)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: lsq.fit_hahn(registry.resolve("exp"), 41, _PAST_RANGE),
+        lambda: lsq.evaluate(_PAST_RANGE_FIT, 0.5),
+        lambda: lsq.sup_error(registry.resolve("exp"), _PAST_RANGE_FIT),
+        lambda: hahn.hahn_table(41, [0.5], _PAST_RANGE),
+        lambda: lsq.extremal_function(40, hahn.HahnParams(0.0, 0.0, 2 * 40 * 41)),
+    ],
+    ids=["fit_hahn", "evaluate", "sup_error", "hahn_table", "extremal_function"],
+)
+def test_range_warning_names_the_calling_line(call):
+    with pytest.warns(errors.NumericalRangeWarning) as records:
+        call()
+    ours = [r for r in records if issubclass(r.category, errors.NumericalRangeWarning)]
+    assert [r.filename for r in ours] == [__file__] * len(ours)
+
+
 class TestClassKDefect:
     def test_smooth_example_value(self):
         f = registry.resolve("exp")

@@ -1,8 +1,10 @@
 """The one-point paths agree bit for bit with the array paths.
 
-A scalar t goes through `hahn._hahn_column`, the plain-float twin of
-`hahn_table`; the golden-section polish in `sup_error` relies on both
-giving the same bits, so that it visits the same points.
+`hahn._hahn_rows` is one kernel for a float x and for an array: a float
+takes the same operations in the same order in plain floats, so a
+scalar t of the witness gives the bits of a one-point array.  The
+golden-section polish in `sup_error` evaluates the witness at floats,
+and relies on those bits to visit the points the array scan implies.
 """
 
 import struct
@@ -58,7 +60,7 @@ def witnesses(draw):
 @given(families(), st.floats(-1.0, 61.0, allow_nan=False))
 def test_column_equals_one_point_table(family, x):
     params, n = family
-    column = hahn._hahn_column(n, x, params)
+    column = list(hahn._hahn_rows(n, x, params))
     table = hahn.hahn_table(n, [x], params)[:, 0]
     assert list(map(bits, column)) == list(map(bits, table))
 
@@ -86,7 +88,7 @@ def test_large_fits_agree_on_both_paths(n, N, alpha):
         ts = np.concatenate([np.linspace(-1.0, 1.0, 101), np.cos(np.arange(64) * 0.05)])
         # one-point arrays: a many-point product may sum in another order
         array_values = [lsq.evaluate(a, np.array([t]))[0] for t in ts]
-        column = hahn._hahn_column(n, 1234.5, params)
+        column = list(hahn._hahn_rows(n, 1234.5, params))
         table = hahn.hahn_table(n, [1234.5], params)[:, 0]
     assert [bits(lsq.evaluate(a, t)) for t in ts] == list(map(bits, array_values))
     assert list(map(bits, column)) == list(map(bits, table))
