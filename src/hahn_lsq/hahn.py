@@ -215,6 +215,8 @@ def hahn_table(n_max, xs, params):
     _check_degree(n_max, params.N)
     _check_range(n_max, params.N)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if xs.ndim != 1:
+        raise ParameterError(f"points must be a scalar or a 1-D array, got shape {xs.shape}")
     out = np.empty((n_max + 1, xs.size))
     for k, row in enumerate(_hahn_rows(n_max, xs, params)):
         out[k] = row

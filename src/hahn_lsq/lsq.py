@@ -1,8 +1,7 @@
 """Discrete least-squares fitting on the equidistant grid x_mu = (2mu - N)/N.
 
-The Hahn-expansion fit, an independent normal-equations oracle, dense
-sup-error measurement, the sharpness witness, and the class-K membership
-defect.
+The Hahn-expansion fit, dense sup-error measurement, the sharpness
+witness, and the class-K membership defect.
 """
 
 import functools
@@ -86,30 +85,19 @@ def _sample_scalar(f, t):
     return float(np.asarray(f.evaluator(t), dtype=float).reshape(()))
 
 
-def _grid_sum(values):
-    # fsum keeps the alternating grid sums stable; overflow of partial
-    # sums, or terms that are already +inf and -inf, mean the fit cannot
-    # be represented, not a silent inf or a traceback.
-    try:
-        return math.fsum(values.tolist())
-    except (OverflowError, ValueError) as exc:
-        raise InstabilityError(f"overflow in weighted grid sum: {exc}") from exc
-
-
 def _weighted_samples(f, n, params):
-    """Grid nodes, samples of f and the scaled weight for a degree-n fit.
+    """Samples of f on the grid and the scaled weight for a degree-n fit.
 
     A sample that is not finite leaves no fit to compute, so it raises an
     InstabilityError here rather than a numpy warning in the projection.
     """
     N = params.N
     hahn._check_degree(n, N, "fit degree")
-    ts = grid_points(N)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        fs = _sample(f, ts)
+        fs = _sample(f, grid_points(N))
     if not np.all(np.isfinite(fs)):
         raise InstabilityError(f"non-finite samples of {f.name} on the grid of N={N}")
-    return ts, fs, hahn.DiscreteWeight.from_params(params).scaled()
+    return fs, hahn.DiscreteWeight.from_params(params).scaled()
 
 
 def _project(values, n, params, w):
@@ -148,64 +136,8 @@ def _project(values, n, params, w):
 def fit_hahn(f, n, params):
     """Least-squares coefficients c_k = <f, Q_k>_omega / <Q_k, Q_k>_omega
     for k = 0..n, from samples on the equidistant grid."""
-    _, fs, w = _weighted_samples(f, n, params)
+    fs, w = _weighted_samples(f, n, params)
     return _project(fs, n, params, w)
-
-
-def _cholesky_solve(L, rhs):
-    y = np.linalg.solve(L, rhs)
-    return np.linalg.solve(L.T, y)
-
-
-def _exact_residual(G, x, rhs):
-    """Residual rhs - G x in exact rational arithmetic, rounded once."""
-    from fractions import Fraction
-
-    n = len(rhs)
-    out = np.empty(n)
-    xf = [Fraction(v) for v in x]
-    for i in range(n):
-        acc = Fraction(rhs[i])
-        for j in range(n):
-            acc -= Fraction(G[i, j]) * xf[j]
-        out[i] = float(acc)
-    return out
-
-
-def fit_normal_equations(f, n, params):
-    """Independent oracle fit: assemble the weighted monomial Gram system
-    on the grid, solve by Cholesky with exact-residual refinement, then
-    re-express the monomial solution in the Hahn basis by projection.
-
-    Raises an instability error when the Gram condition estimate exceeds
-    1e12 (monomial basis at large degree); the Hahn path is then
-    authoritative.
-    """
-    ts, fs, w = _weighted_samples(f, n, params)
-    V = np.vander(ts, n + 1, increasing=True)
-    G = np.empty((n + 1, n + 1))
-    rhs = np.empty(n + 1)
-    for i in range(n + 1):
-        rhs[i] = _grid_sum(V[:, i] * fs * w)
-        for j in range(i, n + 1):
-            G[i, j] = _grid_sum(V[:, i] * V[:, j] * w)
-            G[j, i] = G[i, j]
-    cond = float(np.linalg.cond(G))
-    if not math.isfinite(cond) or cond > 1e12:
-        raise InstabilityError(
-            f"monomial Gram condition {cond:.3e} exceeds 1e12 at degree {n}; use fit_hahn"
-        )
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError as exc:
-        raise InstabilityError(f"Gram matrix not numerically positive definite: {exc}") from exc
-    mono = _cholesky_solve(L, rhs)
-    for _ in range(2):
-        correction = _cholesky_solve(L, _exact_residual(G, mono, rhs))
-        mono = mono + correction
-        if np.max(np.abs(correction)) <= 1e-16 * max(1.0, np.max(np.abs(mono))):
-            break
-    return _project(V @ mono, n, params, w)
 
 
 def evaluate(a, t):

@@ -180,17 +180,20 @@ class TestExitCodes:
         ids=["fit-alpha-150", "fit-alpha-100", "fit-sin-alpha-150"],
     )
     def test_fit_is_scale_free_where_the_raw_weights_overflow(self, name, alpha, n, capsys):
-        # omega passes 1e308 at N = 3000; both fits use omega / max omega
+        # omega passes 1e308 at N = 3000; the fit uses omega / max omega,
+        # and so does its oracle, the whole-table product over the norms
         args = ["fit", "--function", name, "--alpha", str(alpha), "--nodes", "3000", "--n", str(n)]
         params = hahn.HahnParams(alpha, alpha, 3000)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(args, capsys)
-            oracle = lsq.fit_normal_equations(registry.resolve(name), n, params)
+            fs, weight = lsq._weighted_samples(registry.resolve(name), n, params)
+            table = hahn.hahn_table(n, np.arange(3001, dtype=float), params)
+            oracle = table @ (fs * weight) / (weight.sum() * hahn._norm_ratios(n, params))
         assert (code, err) == (0, "")
         assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
         coeffs = [float(r["value"]) for r in csv_rows(out) if r["kind"] == "coefficient"]
-        assert np.max(np.abs(np.subtract(coeffs, oracle.coefficients))) <= 1e-12
+        assert np.max(np.abs(np.subtract(coeffs, oracle))) <= 1e-12
 
     @pytest.mark.parametrize(
         "args",

@@ -172,6 +172,11 @@ class TestRecurrence:
         assert table.shape == (4, 7)
         assert np.all(table[0] == 1.0)
 
+    def test_points_of_more_than_one_dimension_rejected(self):
+        p = hahn.HahnParams(0.0, 0.0, 4)
+        with pytest.raises(errors.ParameterError, match=r"shape \(2, 2\)"):
+            hahn.hahn_table(2, [[0.0, 1.0], [2.0, 3.0]], p)
+
 
 @pytest.mark.parametrize("alpha", SYMMETRIC_ALPHAS)
 def test_reflection_symmetry(alpha):

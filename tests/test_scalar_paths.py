@@ -90,7 +90,7 @@ def test_large_fits_agree_on_both_paths(n, N, alpha):
         array_values = [lsq.evaluate(a, np.array([t]))[0] for t in ts]
         column = list(hahn._hahn_rows(n, 1234.5, params))
         table = hahn.hahn_table(n, [1234.5], params)[:, 0]
-    assert [bits(lsq.evaluate(a, t)) for t in ts] == list(map(bits, array_values))
+        assert [bits(lsq.evaluate(a, t)) for t in ts] == list(map(bits, array_values))
     assert list(map(bits, column)) == list(map(bits, table))
 
 

@@ -81,7 +81,7 @@ def table_projection(name, n, params):
     """Streamed coefficients, the old table-product coefficients, and the
     sum of |terms| behind each, all over the same norms."""
     f = registry.resolve(name)
-    _, fs, w = lsq._weighted_samples(f, n, params)
+    fs, w = lsq._weighted_samples(f, n, params)
     table = hahn.hahn_table(n, np.arange(params.N + 1, dtype=float), params)
     norms = w.sum() * hahn._norm_ratios(n, params)
     streamed = np.array(lsq.fit_hahn(f, n, params).coefficients)
@@ -92,7 +92,7 @@ def folded_table_product(name, n, params):
     """The symmetric fit as whole-table products: Q_k on x = 0..N//2
     against fw(x) + fw(N-x) for even k and fw(x) - fw(N-x) for odd k,
     with the middle node of an even N once in the even fold."""
-    _, fs, w = lsq._weighted_samples(registry.resolve(name), n, params)
+    fs, w = lsq._weighted_samples(registry.resolve(name), n, params)
     N, half = params.N, params.N // 2
     fw = fs * w
     head, tail = fw[: half + 1], fw[::-1][: half + 1]
@@ -142,7 +142,7 @@ def test_folded_fit_is_as_accurate_as_the_full_grid(name, n, N, alpha, beta):
     # so the fold may lose by its summation order alone: 10% and two ulps.
     params = hahn.HahnParams(alpha, beta, N)
     folded, full, _ = table_projection(name, n, params)
-    _, fs, _ = lsq._weighted_samples(registry.resolve(name), n, params)
+    fs, _ = lsq._weighted_samples(registry.resolve(name), n, params)
     reference = oracles.longdouble_fit(fs, n, alpha, beta, N)
     scale = float(np.max(np.abs(reference))) or 1.0
     folded_off = float(np.max(np.abs(folded - reference))) / scale
