@@ -13,6 +13,8 @@ threshold violations, 4 numerical instability.
 """
 
 import argparse
+import copy
+import functools
 import json
 import math
 import sys
@@ -91,7 +93,10 @@ def _finite_float(text):
     return value
 
 
-def build_parser():
+@functools.cache
+def _parser():
+    # building costs several times what parsing does: each add_argument
+    # makes a HelpFormatter, which reads the terminal size
     parser = argparse.ArgumentParser(
         prog="hahn-lsq",
         description="Least-squares approximation on equidistant grids via Hahn expansions.",
@@ -109,6 +114,16 @@ def build_parser():
     parser.add_argument("--format", dest="output_format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", dest="output_path", default=None)
     return parser
+
+
+def build_parser():
+    """The CLI's argument parser, as an object the caller owns.
+
+    The parser is built once per process; each call returns a shallow
+    copy, so an attribute set on one (a wrapped `parse_args`, say) does
+    not reach the next call.
+    """
+    return copy.copy(_parser())
 
 
 def _resolve_nodes(config, n):
@@ -345,9 +360,12 @@ def render_json(config, columns, rows):
 def _write_output(text, path):
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
 
 
 def run(config):
@@ -369,8 +387,8 @@ def main(argv=None):
     config = ExperimentConfig(**vars(namespace))
     try:
         text, code = run(config)
+        _write_output(text, config.output_path)
     except HahnLsqError as exc:
         print(f"{exc.prefix}: {exc}", file=sys.stderr)
         return exc.exit_code
-    _write_output(text, config.output_path)
     return code

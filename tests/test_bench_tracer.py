@@ -7,6 +7,7 @@ outside.  A renamed or removed function would only break
 
 import importlib.util
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -66,3 +67,22 @@ def test_traced_op_records_every_layer_it_passes(tracer, capsys):
         assert totals["calls"][name] >= 1, name
     assert totals["counts"]["lsq.polish.steps"] > 0
     assert {op for name, *_, op in tracer.spans if name == "hahn.norm"} == {1}
+
+
+def test_every_traced_op_builds_and_parses_once(tracer, capsys):
+    # the tracer wraps parse_args on the parser build_parser returns; one
+    # parser shared between calls would gather a wrapper per traced op
+    ops = [["bounds", "--alpha", "0", "--n", "2"], ["compare", "--alpha", "0", "--n", "3"]]
+    op_id = 0
+    for _ in range(2):
+        tracer.install()
+        try:
+            for args in ops:
+                assert tracer.run_op(op_id, cli.main, args) == 0
+                op_id += 1
+        finally:
+            tracer.uninstall()
+    capsys.readouterr()
+    parses = Counter(op for name, *_, op in tracer.spans if name == "cli.parse")
+    assert parses == {op: 2 for op in range(op_id)}
+    assert "parse_args" not in vars(cli.build_parser())

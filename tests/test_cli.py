@@ -12,6 +12,22 @@ import pytest
 from hahn_lsq import bounds, cli, errors, hahn, lsq, registry
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+GOLDEN_RUNS = [
+    ("sharpness_n0_N4_a0.csv", ["sharpness", "--alpha", "0", "--n", "0", "--nodes", "4"]),
+    ("sharpness_n1_N4_a0.csv", ["sharpness", "--alpha", "0", "--n", "1", "--nodes", "4"]),
+    ("sharpness_n2_N12_a0.csv", ["sharpness", "--alpha", "0", "--n", "2", "--nodes", "12"]),
+    ("sharpness_n1_N8_a1.csv", ["sharpness", "--alpha", "1", "--n", "1", "--nodes", "8"]),
+    ("sharpness_n3_N40_a05.csv", ["sharpness", "--alpha", "0.5", "--n", "3", "--nodes", "40"]),
+    (
+        "compare_c4_a0_n1_20.csv",
+        ["compare", "--alpha", "0", "--n-range", "1..20", "--node-rule", "c4"],
+    ),
+    (
+        "convergence_exp_c4_a0_n1_8.csv",
+        ["convergence", "--function", "exp", "--alpha", "0", "--node-rule", "c4",
+         "--n-range", "1..8"],
+    ),
+]
 
 
 def run_cli(args, capsys):
@@ -409,17 +425,7 @@ class TestSharpnessCommand:
         assert float(row["rel_gap"]) <= 1e-8
 
     @pytest.mark.parametrize(
-        "name,args",
-        [
-            ("sharpness_n0_N4_a0.csv", ["sharpness", "--alpha", "0", "--n", "0", "--nodes", "4"]),
-            ("sharpness_n1_N4_a0.csv", ["sharpness", "--alpha", "0", "--n", "1", "--nodes", "4"]),
-            ("sharpness_n2_N12_a0.csv", ["sharpness", "--alpha", "0", "--n", "2", "--nodes", "12"]),
-            ("sharpness_n1_N8_a1.csv", ["sharpness", "--alpha", "1", "--n", "1", "--nodes", "8"]),
-            (
-                "sharpness_n3_N40_a05.csv",
-                ["sharpness", "--alpha", "0.5", "--n", "3", "--nodes", "40"],
-            ),
-        ],
+        "name,args", [run for run in GOLDEN_RUNS if run[0].startswith("sharpness")]
     )
     def test_matches_golden(self, name, args, capsys):
         code, out, _ = run_cli(args, capsys)
@@ -559,6 +565,35 @@ class TestEmission:
         assert b"\r" not in data
         assert data.endswith(b"\n")
         assert data == (GOLDEN / "sharpness_n1_N4_a0.csv").read_bytes()
+
+    @pytest.mark.parametrize("target", ["missing/table.csv", "."], ids=["missing-dir", "dir"])
+    def test_unwritable_out_exits_with_configuration_error(self, target, tmp_path, capsys):
+        path = tmp_path / target
+        code, out, err = run_cli(
+            ["bounds", "--alpha", "0", "--n-range", "1..2", "--out", str(path)], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"configuration error: cannot write --out {path}: ")
+
+    def test_calls_in_one_process_are_independent(self, tmp_path, capsys):
+        # the parser is built once per process: options set by earlier
+        # calls, and a rejected call, must not reach later ones
+        earlier = [
+            (["sharpness", "--alpha", "1", "--beta", "1", "--n", "1", "--nodes", "8"], 0),
+            (["compare", "--alpha", "0", "--n", "3", "--nodes", "40", "--format", "json"], 0),
+            (["bounds", "--alpha", "0.5", "--n-range", "1..3", "--node-rule", "c3"], 0),
+            (["bounds", "--alpha", "0", "--n", "2", "--out", str(tmp_path / "x.csv")], 0),
+            (["bounds", "--alpha", "nan", "--n", "2"], 2),
+        ]
+        for args, status in earlier:
+            assert run_cli(args, capsys)[0] == status
+        for name, args in GOLDEN_RUNS:
+            code, out, err = run_cli(args, capsys)
+            assert (code, err) == (0, "")
+            assert out == (GOLDEN / name).read_text(encoding="utf-8"), name
+        assert cli.build_parser() is not cli.build_parser()
 
     def test_repeat_runs_are_identical(self, capsys):
         args = ["convergence", "--function", "sin4", "--alpha", "0.5", "--node-rule", "c3",
