@@ -56,6 +56,22 @@ def ratio_discrete_continuous(n, N):
     return r
 
 
+def constants_row(n, N, alpha):
+    """(threshold, D, C, ratio) of one table cell: n(alpha, N), the sharp
+    constant D_{n,N}, the continuous constant C_n(alpha) and the grid
+    factor.  ratio is None when n+1 > N, and D is None unless the ratio
+    exists and the degree hypothesis n+1 <= n(alpha, N) holds; only a
+    value outside the domain or below the normal range raises.
+    """
+    threshold = degree_threshold(alpha, N)
+    C = continuous_constant(n, alpha)
+    ratio = ratio_discrete_continuous(n, N) if n + 1 <= N else None
+    D = None
+    if ratio is not None and n + 1 <= threshold:
+        D = require_normal(C * ratio, "D_{},{} at alpha={!r}", n, N, alpha)
+    return threshold, D, C, ratio
+
+
 def worst_case_constant(n, N, alpha):
     """Sharp constant D_{n,N} = C_n(alpha) * prod_{i=0}^{n}(1 - i/N): the
     continuous constant times the grid factor.  Returned only under the
@@ -65,16 +81,17 @@ def worst_case_constant(n, N, alpha):
     """
     if alpha <= -0.5:
         raise ParameterError(f"constant defined for alpha > -1/2, got {alpha}")
-    if n < 0 or n + 1 > N:
-        raise DegreeError(f"need 0 <= n and n+1 <= N, got n={n}, N={N}")
+    if n < 0:
+        raise DegreeError(f"degree must be >= 0, got {n}")
     threshold = degree_threshold(alpha, N)
     if n + 1 > threshold:
         raise ThresholdError(
             f"degree hypothesis violated: n+1={n + 1} > n(alpha,N)={threshold:.6g} "
             f"for alpha={alpha}, N={N}"
         )
-    value = continuous_constant(n, alpha) * ratio_discrete_continuous(n, N)
-    return require_normal(value, "D_{},{} at alpha={!r}", n, N, alpha)
+    if n + 1 > N:
+        raise DegreeError(f"need n+1 <= N, got n={n}, N={N}")
+    return constants_row(n, N, alpha)[1]
 
 
 def simplified_constant(n, alpha):
@@ -159,7 +176,8 @@ class BoundReport:
     """All bound data for one (n, N, alpha) cell.
 
     D is present only under the degree hypothesis; simplified only for
-    n >= 1.  ratio is the grid factor, equal to D/C when D exists.
+    n >= 1.  ratio is the grid factor, present only for n+1 <= N, and
+    D = C * ratio exactly when D exists.
     """
 
     n: int
@@ -169,25 +187,24 @@ class BoundReport:
     hypothesis_ok: bool
     D: Optional[float]
     C: float
-    ratio: float
+    ratio: Optional[float]
     simplified: Optional[float]
     node_min_c3: int
     node_min_c4: int
 
 
 def bound_report(n, N, alpha):
-    threshold = degree_threshold(alpha, N)
-    ok = n + 1 <= threshold
+    threshold, D, C, ratio = constants_row(n, N, alpha)
     c3, c4 = min_nodes(n, alpha)
     return BoundReport(
         n=n,
         N=N,
         alpha=alpha,
         threshold=threshold,
-        hypothesis_ok=ok,
-        D=worst_case_constant(n, N, alpha) if ok else None,
-        C=continuous_constant(n, alpha),
-        ratio=ratio_discrete_continuous(n, N),
+        hypothesis_ok=n + 1 <= threshold,
+        D=D,
+        C=C,
+        ratio=ratio,
         simplified=simplified_constant(n, alpha) if n >= 1 else None,
         node_min_c3=c3,
         node_min_c4=c4,

@@ -141,11 +141,9 @@ def _fit_bound(f, n, params):
     alpha, N = params.alpha, params.N
     if f.derivative_sup is None or not params.symmetric or alpha <= -0.5:
         return None
-    if not bnd.hypothesis_holds(n, N, alpha):
-        return None
     try:
         return bnd.worst_case_constant(n, N, alpha) * float(f.derivative_sup(n + 1))
-    except MissingDerivativeBoundError:
+    except (ThresholdError, MissingDerivativeBoundError):
         return None
 
 
@@ -294,29 +292,20 @@ def cmd_convergence(config):
     return ["n", "N", "sup_error", "bound", "class_K_defect"], rows, EXIT_OK
 
 
-def _compare_row(rule, n, N, alpha):
-    row = {"rule": rule, "n": n, "N": N, "D": None, "C": None, "ratio": None}
-    row["C"] = bnd.continuous_constant(n, alpha)
-    if n + 1 <= N:
-        row["ratio"] = bnd.ratio_discrete_continuous(n, N)
-        if bnd.hypothesis_holds(n, N, alpha):
-            row["D"] = bnd.worst_case_constant(n, N, alpha)
-    return row
-
-
 def cmd_compare(config):
     _require_symmetric(config)
-    rows = []
     if config.nodes is not None or config.node_rule is not None:
         rule = "explicit" if config.nodes is not None else config.node_rule
-        for n in config.degrees():
-            rows.append(_compare_row(rule, n, _resolve_nodes(config, n), config.alpha))
+        cells = [(rule, n, _resolve_nodes(config, n)) for n in config.degrees()]
     else:
         # two-regime sweep: quadratic node growth keeps the ratio away
         # from 1, cubic pushes it toward 1
-        for n in config.degrees():
-            rows.append(_compare_row("nsq10", n, 10 * n * n, config.alpha))
-            rows.append(_compare_row("ncube", n, n**3, config.alpha))
+        rules = (("nsq10", lambda n: 10 * n * n), ("ncube", lambda n: n**3))
+        cells = [(rule, n, N(n)) for n in config.degrees() for rule, N in rules]
+    rows = []
+    for rule, n, N in cells:
+        _, D, C, ratio = bnd.constants_row(n, N, config.alpha)
+        rows.append({"rule": rule, "n": n, "N": N, "D": D, "C": C, "ratio": ratio})
     return ["rule", "n", "N", "D", "C", "ratio"], rows, EXIT_OK
 
 
@@ -336,10 +325,6 @@ _COMMANDS = {
 def _format_cell(value):
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, float):
         return repr(float(value))
     return str(value)

@@ -12,14 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import bounds, hahn
-from .errors import (
-    DegreeError,
-    DomainError,
-    InstabilityError,
-    MissingDerivativeBoundError,
-    ParameterError,
-    ThresholdError,
-)
+from .errors import DomainError, InstabilityError, MissingDerivativeBoundError, ParameterError
 
 _LN2 = math.log(2.0)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -305,13 +298,6 @@ def extremal_function(n, params):
             f"witness defined for alpha = beta, got {params.alpha} != {params.beta}"
         )
     alpha, N = params.alpha, params.N
-    threshold = bounds.degree_threshold(alpha, N)
-    if n + 1 > threshold:
-        raise ThresholdError(
-            f"degree hypothesis violated: n+1={n + 1} > n(alpha,N)={threshold:.6g}"
-        )
-    if n + 1 > N:
-        raise DegreeError(f"witness needs n+1 <= N, got n={n}, N={N}")
     front = (-1.0) ** (n + 1) * bounds.worst_case_constant(n, N, alpha)
     # f*^{(n+1)} = D (n+1)! (N/2)^{n+1} lead_x Q_{n+1} must have modulus 1,
     # which checks D against the recurrence.  lead_x Q_{n+1} is

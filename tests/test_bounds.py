@@ -79,6 +79,11 @@ class TestWorstCaseConstant:
         with pytest.raises(errors.ThresholdError):
             bounds.worst_case_constant(2, 4, 0.0)
 
+    def test_threshold_is_checked_before_the_grid_size(self):
+        # n(alpha, N) < N + 1 always, so n + 1 > N also violates the hypothesis
+        with pytest.raises(errors.ThresholdError):
+            bounds.worst_case_constant(5, 3, 0.0)
+
     def test_underflow_raises(self):
         # C_151(3) = 3.0e-308 is normal; on the c3 grid the grid factor
         # 0.18 takes D below the smallest normal double
@@ -188,7 +193,32 @@ class TestFactorization:
                 right = jacobi.continuous_constant(n, alpha) * bounds.ratio_discrete_continuous(
                     n, N
                 )
-                assert left == pytest.approx(right, rel=1e-12)
+                assert left == right
+
+
+class TestConstantsRow:
+    def test_admissible_cell(self):
+        threshold, D, C, ratio = bounds.constants_row(1, 4, 0.0)
+        assert threshold == bounds.degree_threshold(0.0, 4)
+        assert (D, C, ratio) == (0.25, jacobi.continuous_constant(1, 0.0), 0.75)
+
+    def test_no_constant_past_the_threshold(self):
+        threshold, D, C, ratio = bounds.constants_row(6, 10, 0.0)
+        assert 7 > threshold
+        assert D is None
+        assert ratio == bounds.ratio_discrete_continuous(6, 10)
+        assert C == jacobi.continuous_constant(6, 0.0)
+
+    def test_no_ratio_past_the_grid(self):
+        _, D, C, ratio = bounds.constants_row(5, 2, 0.0)
+        assert D is None and ratio is None
+        assert C == jacobi.continuous_constant(5, 0.0)
+
+    @pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 3.0])
+    def test_agrees_with_worst_case_constant(self, alpha):
+        for n in range(0, 30):
+            N = bounds.min_nodes(n, alpha)[0]
+            assert bounds.constants_row(n, N, alpha)[1] == bounds.worst_case_constant(n, N, alpha)
 
 
 class TestMinNodes:

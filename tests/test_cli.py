@@ -414,6 +414,67 @@ class TestBoundsCommand:
         assert row["D"] == ""
         assert float(row["C"]) > 0
 
+    def test_degree_past_the_grid_has_empty_constant_and_ratio(self, capsys):
+        code, out, err = run_cli(["bounds", "--alpha", "0", "--nodes", "2", "--n", "5"], capsys)
+        assert (code, err) == (0, "")
+        (row,) = csv_rows(out)
+        assert row["hypothesis_ok"] == "0"
+        assert (row["D"], row["ratio"]) == ("", "")
+        assert float(row["threshold"]) == bounds.degree_threshold(0.0, 2)
+        assert float(row["C"]) > 0
+
+
+class TestConstantTables:
+    """`bounds` and `compare` print cells of one row builder."""
+
+    @pytest.mark.parametrize("alpha", ["-0.25", "0", "0.5", "3"])
+    @pytest.mark.parametrize(
+        "command,options",
+        [
+            ("bounds", ["--node-rule", "c3"]),
+            ("bounds", ["--nodes", "300"]),
+            ("compare", []),
+            ("compare", ["--node-rule", "c3"]),
+        ],
+    )
+    def test_constant_is_the_printed_product(self, command, options, alpha, capsys):
+        args = [command, "--alpha", alpha, "--n-range", "1..40", *options]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        rows = [row for row in csv_rows(out) if row["D"]]
+        assert rows
+        for row in rows:
+            assert float(row["D"]) == float(row["C"]) * float(row["ratio"])
+
+    @pytest.mark.parametrize("alpha", ["-0.25", "0", "0.5", "3"])
+    def test_compare_and_bounds_print_the_same_continuous_constant(self, alpha, capsys):
+        columns = {}
+        for command in ("bounds", "compare"):
+            code, out, _ = run_cli([command, "--alpha", alpha, "--n-range", "1..60"], capsys)
+            assert code == 0
+            columns[command] = {row["n"]: row["C"] for row in csv_rows(out)}
+        assert columns["compare"] == columns["bounds"]
+
+    @pytest.mark.parametrize("command", ["bounds", "compare"])
+    def test_cancelling_continuous_constant_exits_unstable(self, command, capsys):
+        code, out, err = run_cli([command, "--alpha", "1e200", "--n", "2"], capsys)
+        assert (code, out) == (4, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("numerical instability: C_2 at alpha=1e+200")
+
+    def test_large_alpha_below_the_guard_is_printed(self, capsys):
+        code, out, err = run_cli(["compare", "--alpha", "1e4", "--n", "2"], capsys)
+        assert (code, err) == (0, "")
+        # C_2(alpha) = (4/3) (alpha+1)(alpha+2)(alpha+3) / ((2alpha+4)(2alpha+5)(2alpha+6))
+        for row in csv_rows(out):
+            assert float(row["C"]) == pytest.approx(10001 / 10002.5 / 6, rel=1e-9)
+
+    def test_compare_rejects_an_empty_grid(self, capsys):
+        # the default sweep puts n = 0 on N = 10 n^2 = 0 nodes
+        code, out, err = run_cli(["compare", "--alpha", "0", "--n", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "configuration error: grid size must be >= 1, got 0\n"
+
 
 class TestSharpnessCommand:
     def test_small_case_values(self, capsys):
@@ -431,6 +492,11 @@ class TestSharpnessCommand:
         code, out, _ = run_cli(args, capsys)
         assert code == 0
         assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+    def test_degree_past_the_grid_is_a_threshold_violation(self, capsys):
+        code, out, err = run_cli(["sharpness", "--alpha", "0", "--n", "5", "--nodes", "3"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("threshold violation: degree hypothesis violated: n+1=6 ")
 
     def test_wrong_constant_exits_unstable(self, monkeypatch, capsys):
         # the witness and the bound share D, so measured / bound cannot see

@@ -158,6 +158,21 @@ class TestContinuousConstant:
         with pytest.raises(errors.InstabilityError):
             jacobi.continuous_constant(400, 0.0)
 
+    @pytest.mark.parametrize("alpha", [-0.25, 0.0, 3.0, 1e3, 1e4, 7e4])
+    def test_unflagged_values_are_within_tolerance(self, alpha):
+        for n in (0, 2, 70, 140):
+            value = Fraction(jacobi.continuous_constant(n, alpha))
+            exact = oracles.frac_continuous_constant(n, alpha)
+            assert abs(value - exact) <= Fraction(1, 10**9) * exact
+
+    @pytest.mark.parametrize("alpha", [7.1e4, 1e6, 1e12, 1e200, 1e308])
+    def test_cancellation_raises(self, alpha):
+        # the log terms grow like alpha log alpha; summed at alpha = 1e200
+        # they give C_2 = 1.0, where C_2 tends to 1/6
+        for n in (0, 2, 140):
+            with pytest.raises(errors.InstabilityError, match=f"C_{n} at alpha=.*cancel"):
+                jacobi.continuous_constant(n, alpha)
+
     def test_parameter_domain(self):
         with pytest.raises(errors.ParameterError):
             jacobi.continuous_constant(2, -0.6)
