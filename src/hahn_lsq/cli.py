@@ -145,6 +145,8 @@ def _fit_bound(f, n, params):
         return bnd.worst_case_constant(n, N, alpha) * float(f.derivative_sup(n + 1))
     except (ThresholdError, MissingDerivativeBoundError):
         return None
+    except OverflowError as exc:
+        raise InstabilityError(f"bound at n={n}: sup|f^({n + 1})| of {f.name} overflows") from exc
 
 
 def _require_symmetric(config):
@@ -155,6 +157,10 @@ def _require_symmetric(config):
 
 
 # ---------------------------------------------------------------- commands
+#
+# Each command returns (columns, rows, error): rows are tuples in column
+# order, and error is None or a HahnLsqError that `main` reports after
+# the rows are written.
 
 
 def cmd_basis(config):
@@ -166,30 +172,25 @@ def cmd_basis(config):
     params = config.params_for(config.nodes)
     if n > params.N:
         raise DegreeError(f"basis degree must satisfy n <= N={params.N}, got {n}")
-    N = params.N
     w = hahn.DiscreteWeight.from_params(params)
-    grid = np.arange(N + 1, dtype=float)
-    table = hahn.hahn_table(n, grid, params)
+    table = hahn.hahn_table(n, np.arange(params.N + 1, dtype=float), params)
     norms = [hahn.hahn_norm_sq(k, params) for k in range(n + 1)]
-    rows = []
-    for i in range(N + 1):
-        rows.append({"kind": "weight", "deg": None, "idx": i, "value": float(w.values[i])})
+    rows = [("weight", None, i, value) for i, value in enumerate(w.values.tolist())]
     for k in range(n + 1):
-        for i in range(N + 1):
-            rows.append({"kind": "hahn", "deg": k, "idx": i, "value": float(table[k, i])})
-    for k in range(n + 1):
-        rows.append({"kind": "norm_sq", "deg": k, "idx": None, "value": norms[k]})
+        rows += [("hahn", k, i, value) for i, value in enumerate(table[k].tolist())]
+    rows += [("norm_sq", k, None, norms[k]) for k in range(n + 1)]
     for j in range(n + 1):
         for k in range(j + 1, n + 1):
             residual = hahn.inner_product(table[j], table[k], w) / math.sqrt(norms[j] * norms[k])
-            rows.append({"kind": "ortho_residual", "deg": j, "idx": k, "value": residual})
+            rows.append(("ortho_residual", j, k, residual))
     if params.symmetric:
-        scale = [math.sqrt(v) for v in norms]
         for k in range(n + 1):
-            for i in range(N + 1):
-                value = (-1.0) ** k * table[k, i] / scale[k]
-                rows.append({"kind": "normalized", "deg": k, "idx": i, "value": value})
-    return ["kind", "deg", "idx", "value"], rows, EXIT_OK
+            sign, scale = (-1.0) ** k, math.sqrt(norms[k])
+            rows += [
+                ("normalized", k, i, sign * value / scale)
+                for i, value in enumerate(table[k].tolist())
+            ]
+    return ("kind", "deg", "idx", "value"), rows, None
 
 
 def cmd_fit(config):
@@ -209,25 +210,26 @@ def cmd_fit(config):
     ratio = report.ratio
     if ratio is not None and not math.isfinite(ratio):
         ratio = None
-    rows = [
-        {"kind": "coefficient", "k": k, "value": approx.coefficients[k]} for k in range(n + 1)
+    rows = [("coefficient", k, c) for k, c in enumerate(approx.coefficients)]
+    rows += [
+        ("sup_error", None, report.sup_error),
+        ("argmax", None, report.argmax),
+        ("bound", None, report.bound),
+        ("ratio", None, ratio),
     ]
-    rows.append({"kind": "sup_error", "k": None, "value": report.sup_error})
-    rows.append({"kind": "argmax", "k": None, "value": report.argmax})
-    rows.append({"kind": "bound", "k": None, "value": report.bound})
-    rows.append({"kind": "ratio", "k": None, "value": ratio})
-    return ["kind", "k", "value"], rows, EXIT_OK
+    return ("kind", "k", "value"), rows, None
 
 
 def cmd_bounds(config):
-    columns = [field.name for field in fields(bnd.BoundReport)]
+    _require_symmetric(config)
+    columns = tuple(field.name for field in fields(bnd.BoundReport))
     rows = []
     for n in config.degrees():
         report = bnd.bound_report(n, _resolve_nodes(config, n), config.alpha)
-        row = {name: getattr(report, name) for name in columns}
-        row["hypothesis_ok"] = int(report.hypothesis_ok)
-        rows.append(row)
-    return columns, rows, EXIT_OK
+        # hypothesis_ok prints as 0 or 1 in both formats
+        cells = (getattr(report, name) for name in columns)
+        rows.append(tuple(int(c) if isinstance(c, bool) else c for c in cells))
+    return columns, rows, None
 
 
 def cmd_sharpness(config):
@@ -243,25 +245,13 @@ def cmd_sharpness(config):
         measured = lsq.sup_error(witness, approx).sup_error
         gap = abs(measured - constant) / constant
         worst_gap = max(worst_gap, gap)
-        rows.append(
-            {
-                "n": n,
-                "N": N,
-                "alpha": config.alpha,
-                "measured": measured,
-                "bound": constant,
-                "rel_gap": gap,
-            }
-        )
-    code = EXIT_OK
+        rows.append((n, N, config.alpha, measured, constant, gap))
+    error = None
     if worst_gap > SHARPNESS_GAP_TOL:
-        print(
-            f"{InstabilityError.prefix}: sharpness gap {worst_gap:.3e} "
-            f"exceeds tolerance {SHARPNESS_GAP_TOL:.1e}",
-            file=sys.stderr,
+        error = InstabilityError(
+            f"sharpness gap {worst_gap:.3e} exceeds tolerance {SHARPNESS_GAP_TOL:.1e}"
         )
-        code = EXIT_UNSTABLE
-    return ["n", "N", "alpha", "measured", "bound", "rel_gap"], rows, code
+    return ("n", "N", "alpha", "measured", "bound", "rel_gap"), rows, error
 
 
 def cmd_convergence(config):
@@ -279,17 +269,12 @@ def cmd_convergence(config):
             )
         approx = lsq.fit_hahn(f, n, params)
         report = lsq.sup_error(f, approx, bound=_fit_bound(f, n, params))
-        defect = lsq.class_K_defect(f, n, config.alpha)
-        rows.append(
-            {
-                "n": n,
-                "N": N,
-                "sup_error": report.sup_error,
-                "bound": report.bound,
-                "class_K_defect": defect,
-            }
-        )
-    return ["n", "N", "sup_error", "bound", "class_K_defect"], rows, EXIT_OK
+        try:
+            defect = lsq.class_K_defect(f, n, config.alpha)
+        except OverflowError as exc:
+            raise InstabilityError(f"class_K_defect of {f.name} at n={n} overflows") from exc
+        rows.append((n, N, report.sup_error, report.bound, defect))
+    return ("n", "N", "sup_error", "bound", "class_K_defect"), rows, None
 
 
 def cmd_compare(config):
@@ -302,11 +287,8 @@ def cmd_compare(config):
         # from 1, cubic pushes it toward 1
         rules = (("nsq10", lambda n: 10 * n * n), ("ncube", lambda n: n**3))
         cells = [(rule, n, N(n)) for n in config.degrees() for rule, N in rules]
-    rows = []
-    for rule, n, N in cells:
-        _, D, C, ratio = bnd.constants_row(n, N, config.alpha)
-        rows.append({"rule": rule, "n": n, "N": N, "D": D, "C": C, "ratio": ratio})
-    return ["rule", "n", "N", "D", "C", "ratio"], rows, EXIT_OK
+    rows = [(rule, n, N, *bnd.constants_row(n, N, config.alpha)[1:]) for rule, n, N in cells]
+    return ("rule", "n", "N", "D", "C", "ratio"), rows, None
 
 
 _COMMANDS = {
@@ -321,25 +303,35 @@ _COMMANDS = {
 
 # ---------------------------------------------------------------- emission
 
+# an inf or nan cell would read as a result; it exits 4 instead
+_NONFINITE = "an output cell is inf or nan"
+
 
 def _format_cell(value):
     if value is None:
         return ""
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise InstabilityError(_NONFINITE)
         return repr(float(value))
     return str(value)
 
 
 def render_csv(columns, rows):
     lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row.get(c)) for c in columns))
+    lines += [",".join(map(_format_cell, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def render_json(config, columns, rows):
+    # in place: a second list of the rows would raise the peak memory
+    for i, row in enumerate(rows):
+        rows[i] = dict(zip(columns, row))
     payload = {"config": asdict(config), "columns": columns, "rows": rows}
-    return json.dumps(payload, allow_nan=False) + "\n"
+    try:
+        return json.dumps(payload, allow_nan=False) + "\n"
+    except ValueError as exc:  # allow_nan=False refuses inf and nan
+        raise InstabilityError(_NONFINITE) from exc
 
 
 def _write_output(text, path):
@@ -354,13 +346,12 @@ def _write_output(text, path):
 
 
 def run(config):
-    """Execute one experiment; returns (rendered_text, exit_code)."""
-    columns, rows, code = _COMMANDS[config.command](config)
+    """Execute one experiment; returns (rendered_text, error), where error
+    is None or a HahnLsqError to report once the text is written."""
+    columns, rows, error = _COMMANDS[config.command](config)
     if config.output_format == "json":
-        text = render_json(config, columns, rows)
-    else:
-        text = render_csv(columns, rows)
-    return text, code
+        return render_json(config, columns, rows), error
+    return render_csv(columns, rows), error
 
 
 def main(argv=None):
@@ -371,9 +362,11 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     config = ExperimentConfig(**vars(namespace))
     try:
-        text, code = run(config)
+        text, error = run(config)
         _write_output(text, config.output_path)
+        if error is not None:
+            raise error
     except HahnLsqError as exc:
         print(f"{exc.prefix}: {exc}", file=sys.stderr)
         return exc.exit_code
-    return code
+    return EXIT_OK

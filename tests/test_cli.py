@@ -29,6 +29,10 @@ GOLDEN_RUNS = [
     ),
 ]
 
+# sup|f^(30)| = 30! 1e300 overflows a double
+POLY_1E300 = "poly:" + "0," * 30 + "1e300"
+SIN_1E20 = "sin1" + "0" * 20
+
 
 def run_cli(args, capsys):
     code = cli.main(args)
@@ -188,6 +192,31 @@ class TestExitCodes:
         assert code == status
         assert err.splitlines()[-1].startswith(prefix)
         assert "nan" not in out
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "args,status,message",
+        [
+            (["convergence", "--function", POLY_1E300, "--alpha", "0", "--n", "29"], 4,
+             "numerical instability: an output cell is inf or nan"),
+            (["fit", "--function", POLY_1E300, "--alpha", "0", "--nodes", "1740", "--n", "29"], 4,
+             "numerical instability: an output cell is inf or nan"),
+            (["convergence", "--function", "exp", "--alpha", "1000", "--n", "30"], 4,
+             "numerical instability: class_K_defect of exp at n=30 overflows"),
+            (["fit", "--function", SIN_1E20, "--alpha", "0", "--nodes", "1860", "--n", "30"], 4,
+             f"numerical instability: bound at n=30: sup|f^(31)| of {SIN_1E20} overflows"),
+            (["bounds", "--alpha", "0", "--beta", "3", "--n", "2"], 2,
+             "configuration error: bounds requires alpha = beta, got alpha=0.0, beta=3.0"),
+        ],
+        ids=["infinite-convergence-cells", "infinite-fit-bound", "overflowing-defect",
+             "overflowing-derivative-bound", "bounds-beta"],
+    )
+    def test_unusable_input_exits_with_one_line_and_no_table(
+        self, args, status, message, fmt, capsys
+    ):
+        code, out, err = run_cli(args + ["--format", fmt], capsys)
+        assert (code, out) == (status, "")
+        assert err.splitlines() == [message]
 
     @pytest.mark.parametrize(
         "name,alpha,n",
@@ -511,7 +540,9 @@ class TestSharpnessCommand:
         assert out == ""
         assert len(err.splitlines()) == 1 and "witness scale" in err
 
-    def test_gap_past_tolerance_exits_unstable_after_the_rows(self, monkeypatch, capsys):
+    def test_gap_past_tolerance_exits_unstable_after_the_rows(
+        self, monkeypatch, tmp_path, capsys
+    ):
         exact = lsq.sup_error
 
         def widened(f, a, bound=None):
@@ -520,11 +551,17 @@ class TestSharpnessCommand:
 
         monkeypatch.setattr(lsq, "sup_error", widened)
         args = ["sharpness", "--alpha", "0.5", "--n", "3", "--nodes", "40"]
-        code, out, err = run_cli(args, capsys)
-        assert code == 4
-        (row,) = csv_rows(out)
-        assert float(row["rel_gap"]) == pytest.approx(1e-6, rel=1e-6)
-        assert err.splitlines()[-1].startswith("numerical instability: sharpness gap 1.000e-06")
+        target = tmp_path / "x.csv"
+        for extra in ([], ["--out", str(target)], ["--format", "json"]):
+            code, out, err = run_cli(args + extra, capsys)
+            assert code == 4
+            gap_line = err.splitlines()[-1]
+            assert gap_line.startswith("numerical instability: sharpness gap 1.000e-06")
+            if "--out" in extra:
+                assert out == ""
+                out = target.read_text(encoding="utf-8")
+            (row,) = json.loads(out)["rows"] if "json" in extra else csv_rows(out)
+            assert float(row["rel_gap"]) == pytest.approx(1e-6, rel=1e-6)
 
 
 class TestConvergenceCommand:
@@ -606,6 +643,18 @@ class TestEmission:
         jrow = json.loads(json_out)["rows"][0]
         for key in ("measured", "bound", "rel_gap"):
             assert float(crow[key]) == jrow[key]
+
+    @pytest.mark.parametrize("name,args", GOLDEN_RUNS)
+    def test_json_table_is_the_csv_table(self, name, args, capsys):
+        _, csv_out, _ = run_cli(args, capsys)
+        _, json_out, _ = run_cli(args + ["--format", "json"], capsys)
+        lines = csv_out.splitlines()
+        payload = json.loads(json_out)
+        assert payload["columns"] == lines[0].split(",")
+        assert len(payload["rows"]) == len(lines) - 1
+        for row, line in zip(payload["rows"], lines[1:]):
+            assert list(row) == payload["columns"]
+            assert ["" if v is None else str(v) for v in row.values()] == line.split(",")
 
     def test_json_config_echo(self, capsys):
         _, out, _ = run_cli(
