@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DegreeError, DomainError, ParameterError, ThresholdError
+from .errors import DegreeError, DomainError, InstabilityError, ParameterError, ThresholdError
 from .jacobi import continuous_constant
 from .specfun import log_gamma, require_normal, stirling_sandwich_logs
 
@@ -176,8 +176,8 @@ class BoundReport:
     """All bound data for one (n, N, alpha) cell.
 
     D is present only under the degree hypothesis; simplified only for
-    n >= 1.  ratio is the grid factor, present only for n+1 <= N, and
-    D = C * ratio exactly when D exists.
+    n >= 1 and where it does not underflow.  ratio is the grid factor,
+    present only for n+1 <= N, and D = C * ratio exactly when D exists.
     """
 
     n: int
@@ -194,8 +194,18 @@ class BoundReport:
 
 
 def bound_report(n, N, alpha):
+    """The BoundReport of one cell.  A C or D below the normal range
+    raises an InstabilityError; a simplified constant that alone
+    underflows (n^alpha / 4^alpha at alpha in the thousands) is left
+    empty, as it is at n = 0."""
     threshold, D, C, ratio = constants_row(n, N, alpha)
     c3, c4 = min_nodes(n, alpha)
+    simplified = None
+    if n >= 1:
+        try:
+            simplified = simplified_constant(n, alpha)
+        except InstabilityError:
+            pass
     return BoundReport(
         n=n,
         N=N,
@@ -205,7 +215,7 @@ def bound_report(n, N, alpha):
         D=D,
         C=C,
         ratio=ratio,
-        simplified=simplified_constant(n, alpha) if n >= 1 else None,
+        simplified=simplified,
         node_min_c3=c3,
         node_min_c4=c4,
     )

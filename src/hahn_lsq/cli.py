@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, fields
+from itertools import chain, count, islice, repeat
 from typing import Optional
 
 import numpy as np
@@ -158,9 +159,9 @@ def _require_symmetric(config):
 
 # ---------------------------------------------------------------- commands
 #
-# Each command returns (columns, rows, error): rows are tuples in column
-# order, and error is None or a HahnLsqError that `main` reports after
-# the rows are written.
+# Each command returns (columns, rows, error): rows is an iterable of
+# tuples in column order, and error is None or a HahnLsqError that `main`
+# reports after the rows are written.
 
 
 def cmd_basis(config):
@@ -175,22 +176,29 @@ def cmd_basis(config):
     w = hahn.DiscreteWeight.from_params(params)
     table = hahn.hahn_table(n, np.arange(params.N + 1, dtype=float), params)
     norms = [hahn.hahn_norm_sq(k, params) for k in range(n + 1)]
-    rows = [("weight", None, i, value) for i, value in enumerate(w.values.tolist())]
-    for k in range(n + 1):
-        rows += [("hahn", k, i, value) for i, value in enumerate(table[k].tolist())]
-    rows += [("norm_sq", k, None, norms[k]) for k in range(n + 1)]
+    # <Q_j, Q_k> for all k > j from one product, each summed as
+    # hahn.inner_product sums it
+    residuals = []
     for j in range(n + 1):
-        for k in range(j + 1, n + 1):
-            residual = hahn.inner_product(table[j], table[k], w) / math.sqrt(norms[j] * norms[k])
-            rows.append(("ortho_residual", j, k, residual))
-    if params.symmetric:
+        products = (table[j] * table[j + 1 :]) * w.values
+        for k, terms in enumerate(products, start=j + 1):
+            residual = math.fsum(terms.tolist()) / math.sqrt(norms[j] * norms[k])
+            residuals.append(("ortho_residual", j, k, residual))
+
+    def blocks():
+        # one block of rows at a time, each a zip of C iterators: the
+        # table's rows never all exist as tuples
+        yield zip(repeat("weight"), repeat(None), count(), w.values.tolist())
         for k in range(n + 1):
-            sign, scale = (-1.0) ** k, math.sqrt(norms[k])
-            rows += [
-                ("normalized", k, i, sign * value / scale)
-                for i, value in enumerate(table[k].tolist())
-            ]
-    return ("kind", "deg", "idx", "value"), rows, None
+            yield zip(repeat("hahn"), repeat(k), count(), table[k].tolist())
+        yield zip(repeat("norm_sq"), count(), repeat(None), norms)
+        yield residuals
+        if params.symmetric:
+            for k in range(n + 1):
+                normalized = (-1.0) ** k * table[k] / math.sqrt(norms[k])
+                yield zip(repeat("normalized"), repeat(k), count(), normalized.tolist())
+
+    return ("kind", "deg", "idx", "value"), chain.from_iterable(blocks()), None
 
 
 def cmd_fit(config):
@@ -306,6 +314,10 @@ _COMMANDS = {
 # an inf or nan cell would read as a result; it exits 4 instead
 _NONFINITE = "an output cell is inf or nan"
 
+# Rows are rendered this many at a time, so that no structure the size of
+# the whole table exists beside its text.
+_CHUNK_ROWS = 512
+
 
 def _format_cell(value):
     if value is None:
@@ -317,37 +329,56 @@ def _format_cell(value):
     return str(value)
 
 
+def _chunks(rows):
+    rows = iter(rows)
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        yield chunk
+
+
 def render_csv(columns, rows):
-    lines = [",".join(columns)]
-    lines += [",".join(map(_format_cell, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    """The CSV table as a list of strings, one per chunk of rows."""
+    pieces = [",".join(columns) + "\n"]
+    for chunk in _chunks(rows):
+        pieces.append("\n".join([",".join(map(_format_cell, row)) for row in chunk]) + "\n")
+    return pieces
 
 
 def render_json(config, columns, rows):
-    # in place: a second list of the rows would raise the peak memory
-    for i, row in enumerate(rows):
-        rows[i] = dict(zip(columns, row))
-    payload = {"config": asdict(config), "columns": columns, "rows": rows}
+    """The JSON object as a list of strings: the text up to the rows' "[",
+    one string per chunk of rows, and the rest."""
     try:
-        return json.dumps(payload, allow_nan=False) + "\n"
+        payload = {"config": asdict(config), "columns": columns, "rows": []}
+        empty = json.dumps(payload, allow_nan=False)
+        pieces = [empty[:-2]]
+        for chunk in _chunks(rows):
+            if len(pieces) > 1:
+                pieces.append(", ")
+            rendered = json.dumps([dict(zip(columns, row)) for row in chunk], allow_nan=False)
+            pieces.append(rendered[1:-1])
     except ValueError as exc:  # allow_nan=False refuses inf and nan
         raise InstabilityError(_NONFINITE) from exc
+    pieces.append(empty[-2:] + "\n")
+    return pieces
 
 
-def _write_output(text, path):
+def _write_output(pieces, path):
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
     except OSError as exc:
         raise ParameterError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
 
 
 def run(config):
-    """Execute one experiment; returns (rendered_text, error), where error
-    is None or a HahnLsqError to report once the text is written."""
+    """Execute one experiment; returns (pieces, error).  pieces is the
+    whole rendered table as a list of strings, to be written in order;
+    error is None or a HahnLsqError to report once they are written."""
+    if config.function is not None and config.command not in ("fit", "convergence"):
+        # any other command would print its table as if it were not given
+        raise ParameterError(f"{config.command} takes no --function, got {config.function!r}")
     columns, rows, error = _COMMANDS[config.command](config)
     if config.output_format == "json":
         return render_json(config, columns, rows), error
@@ -362,8 +393,8 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     config = ExperimentConfig(**vars(namespace))
     try:
-        text, error = run(config)
-        _write_output(text, config.output_path)
+        pieces, error = run(config)
+        _write_output(pieces, config.output_path)
         if error is not None:
             raise error
     except HahnLsqError as exc:

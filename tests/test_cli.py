@@ -4,7 +4,9 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -207,9 +209,18 @@ class TestExitCodes:
              f"numerical instability: bound at n=30: sup|f^(31)| of {SIN_1E20} overflows"),
             (["bounds", "--alpha", "0", "--beta", "3", "--n", "2"], 2,
              "configuration error: bounds requires alpha = beta, got alpha=0.0, beta=3.0"),
+            (["bounds", "--alpha", "0", "--n", "2", "--function", "exp"], 2,
+             "configuration error: bounds takes no --function, got 'exp'"),
+            (["sharpness", "--alpha", "0", "--n", "1", "--nodes", "4", "--function", "runge"], 2,
+             "configuration error: sharpness takes no --function, got 'runge'"),
+            (["compare", "--alpha", "0", "--n", "2", "--function", "exp"], 2,
+             "configuration error: compare takes no --function, got 'exp'"),
+            (["basis", "--alpha", "0", "--nodes", "4", "--n", "1", "--function", "sin1"], 2,
+             "configuration error: basis takes no --function, got 'sin1'"),
         ],
         ids=["infinite-convergence-cells", "infinite-fit-bound", "overflowing-defect",
-             "overflowing-derivative-bound", "bounds-beta"],
+             "overflowing-derivative-bound", "bounds-beta", "bounds-function",
+             "sharpness-function", "compare-function", "basis-function"],
     )
     def test_unusable_input_exits_with_one_line_and_no_table(
         self, args, status, message, fmt, capsys
@@ -362,6 +373,24 @@ class TestBasisCommand:
         code, _, err = run_cli(["basis", "--alpha", "0", "--n", "2"], capsys)
         assert code == 2
 
+    def test_residuals_are_the_normalized_inner_products(self, capsys):
+        # the command sums all <Q_j, Q_k>, k > j, from one product per j
+        params = hahn.HahnParams(0.5, 0.5, 40)
+        code, out, _ = run_cli(["basis", "--alpha", "0.5", "--nodes", "40", "--n", "6"], capsys)
+        assert code == 0
+        w = hahn.DiscreteWeight.from_params(params)
+        table = hahn.hahn_table(6, np.arange(41, dtype=float), params)
+        norms = [hahn.hahn_norm_sq(k, params) for k in range(7)]
+        got = {
+            (int(r["deg"]), int(r["idx"])): float(r["value"])
+            for r in csv_rows(out)
+            if r["kind"] == "ortho_residual"
+        }
+        assert len(got) == 21
+        for (j, k), residual in got.items():
+            expected = hahn.inner_product(table[j], table[k], w) / math.sqrt(norms[j] * norms[k])
+            assert residual == expected
+
 
 class TestFitCommand:
     def test_constant_reproduced(self, capsys):
@@ -497,6 +526,18 @@ class TestConstantTables:
         # C_2(alpha) = (4/3) (alpha+1)(alpha+2)(alpha+3) / ((2alpha+4)(2alpha+5)(2alpha+6))
         for row in csv_rows(out):
             assert float(row["C"]) == pytest.approx(10001 / 10002.5 / 6, rel=1e-9)
+
+    def test_simplified_constant_alone_underflowing_is_an_empty_cell(self, capsys):
+        # n^alpha / (Gamma(alpha+1) 4^alpha) underflows at alpha = 1e4, n = 2,
+        # while C, D and the grid factor of the row are normal
+        with pytest.raises(errors.InstabilityError, match="simplified constant"):
+            bounds.simplified_constant(2, 1e4)
+        code, out, err = run_cli(["bounds", "--alpha", "1e4", "--n", "2"], capsys)
+        assert (code, err) == (0, "")
+        (row,) = csv_rows(out)
+        assert row["simplified"] == ""
+        assert float(row["C"]) == pytest.approx(10001 / 10002.5 / 6, rel=1e-9)
+        assert float(row["D"]) == float(row["C"]) * float(row["ratio"])
 
     def test_compare_rejects_an_empty_grid(self, capsys):
         # the default sweep puts n = 0 on N = 10 n^2 = 0 nodes
@@ -728,3 +769,89 @@ class TestEmission:
         ]
         assert runs[0] == runs[1]
         assert b"\r" not in runs[0]
+
+
+def one_shot_csv(columns, rows):
+    lines = [",".join(columns)] + [",".join(map(cli._format_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def one_shot_json(config, columns, rows):
+    payload = {
+        "config": asdict(config),
+        "columns": columns,
+        "rows": [dict(zip(columns, row)) for row in rows],
+    }
+    return json.dumps(payload, allow_nan=False) + "\n"
+
+
+def synthetic_rows(count):
+    # every kind of cell: str, int, None and floats of both signs
+    return [
+        (f"r{i}", i, None if i % 3 == 0 else -i, i / 7 - 1e-300 * (i % 5))
+        for i in range(count)
+    ]
+
+
+class TestChunkedEmission:
+    """Tables are rendered a chunk of rows at a time, with the bytes of a
+    one-shot render."""
+
+    COLUMNS = ("kind", "deg", "idx", "value")
+    CHUNK = cli._CHUNK_ROWS
+
+    @pytest.mark.parametrize(
+        "count", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7],
+        ids=["empty", "one", "chunk-1", "chunk", "chunk+1", "several-chunks"],
+    )
+    def test_bytes_equal_a_one_shot_render(self, count):
+        rows = synthetic_rows(count)
+        config = cli.ExperimentConfig(command="basis", alpha=0.5, n=3, nodes=9)
+        chunks = -(-count // self.CHUNK)
+        pieces = cli.render_csv(self.COLUMNS, iter(rows))
+        assert len(pieces) == 1 + chunks
+        assert "".join(pieces) == one_shot_csv(self.COLUMNS, rows)
+        pieces = cli.render_json(config, self.COLUMNS, iter(rows))
+        # head, the chunks with ", " between them, tail
+        assert len(pieces) == 2 + max(2 * chunks - 1, 0)
+        text = "".join(pieces)
+        assert text == one_shot_json(config, self.COLUMNS, rows)
+        assert len(json.loads(text)["rows"]) == count
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_cell_in_the_last_chunk_writes_nothing(
+        self, fmt, bad, monkeypatch, tmp_path, capsys
+    ):
+        count = 3 * self.CHUNK + 7
+
+        def rows():
+            for row in synthetic_rows(count - 1):
+                yield row
+            yield ("last", 0, None, bad)
+
+        monkeypatch.setitem(cli._COMMANDS, "bounds", lambda config: (self.COLUMNS, rows(), None))
+        target = tmp_path / "table.txt"
+        for extra in ([], ["--out", str(target)]):
+            code, out, err = run_cli(["bounds", "--n", "1", "--format", fmt, *extra], capsys)
+            assert (code, out) == (4, "")
+            assert err == "numerical instability: an output cell is inf or nan\n"
+            assert not target.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_memory_tracks_the_output(self, fmt, tmp_path, capsys):
+        # a one-shot render held 6.6 (JSON) and 7.7 (CSV) times the output
+        target = tmp_path / f"basis.{fmt}"
+        args = ["basis", "--alpha", "0.5", "--nodes", "400", "--n", "20", "--format", fmt,
+                "--out", str(target)]
+        assert cli.main(args) == 0  # caches and the parser exist before the trace
+        tracemalloc.start()
+        try:
+            code = cli.main(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        size = target.stat().st_size
+        assert size > 500_000
+        assert peak <= 2 * size
