@@ -2,12 +2,8 @@
 
 from .bounds import (
     BoundReport,
-    alpha0_constant,
-    alpha0_exact_constant,
-    alpha0_sandwich_logs,
     bound_report,
     degree_threshold,
-    hypothesis_holds,
     min_nodes,
     ratio_discrete_continuous,
     simplified_constant,
@@ -24,24 +20,8 @@ from .errors import (
     ParameterError,
     ThresholdError,
 )
-from .hahn import (
-    DiscreteWeight,
-    HahnParams,
-    endpoint_max_check,
-    hahn_eval,
-    hahn_norm_sq,
-    hahn_table,
-    inner_product,
-    normalized_hahn_eval,
-    weight,
-)
-from .jacobi import (
-    JacobiParams,
-    continuous_constant,
-    jacobi_eval,
-    jacobi_norm_sq,
-    jacobi_sup,
-)
+from .hahn import DiscreteWeight, HahnParams, hahn_norm_sq, hahn_table
+from .jacobi import continuous_constant
 from .lsq import (
     Approximant,
     ErrorReport,
@@ -54,14 +34,7 @@ from .lsq import (
     sup_error,
 )
 from .registry import polynomial_function, resolve, sine_function
-from .specfun import (
-    gamma_ratio_residual,
-    gen_binomial,
-    log_gamma,
-    pochhammer,
-    stirling_sandwich,
-    stirling_sandwich_logs,
-)
+from .specfun import log_gamma
 
 __version__ = "0.1.0"
 
@@ -76,46 +49,28 @@ __all__ = [
     "HahnLsqError",
     "HahnParams",
     "InstabilityError",
-    "JacobiParams",
     "LengthMismatchError",
     "MissingDerivativeBoundError",
     "NumericalRangeWarning",
     "ParameterError",
     "ThresholdError",
-    "alpha0_constant",
-    "alpha0_exact_constant",
-    "alpha0_sandwich_logs",
     "bound_report",
     "class_K_defect",
     "continuous_constant",
     "degree_threshold",
-    "endpoint_max_check",
     "evaluate",
     "extremal_function",
     "fit_hahn",
-    "gamma_ratio_residual",
-    "gen_binomial",
     "grid_points",
-    "hahn_eval",
     "hahn_norm_sq",
     "hahn_table",
-    "hypothesis_holds",
-    "inner_product",
-    "jacobi_eval",
-    "jacobi_norm_sq",
-    "jacobi_sup",
     "log_gamma",
     "min_nodes",
-    "normalized_hahn_eval",
-    "pochhammer",
     "polynomial_function",
     "ratio_discrete_continuous",
     "resolve",
     "simplified_constant",
     "sine_function",
-    "stirling_sandwich",
-    "stirling_sandwich_logs",
     "sup_error",
-    "weight",
     "worst_case_constant",
 ]

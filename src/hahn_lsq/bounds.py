@@ -2,10 +2,10 @@
 least-squares operator.
 
 Houses D_{n,N}, the degree threshold n(alpha, N), the simplified
-large-n constant, the alpha = 0 sandwich, minimum node counts, and the
-discrete/continuous ratio.  Everything is computed in log space; the
-grid factor is always the product of (1 - i/N) terms, never a factorial
-ratio, so grid sizes up to 10^6 are safe.
+large-n constant, minimum node counts, and the discrete/continuous
+ratio.  Everything is computed in log space; the grid factor is always
+the product of (1 - i/N) terms, never a factorial ratio, so grid sizes
+up to 10^6 are safe.
 """
 
 import math
@@ -14,7 +14,7 @@ from typing import Optional
 
 from .errors import DegreeError, DomainError, InstabilityError, ParameterError, ThresholdError
 from .jacobi import continuous_constant
-from .specfun import log_gamma, require_normal, stirling_sandwich_logs
+from .specfun import log_gamma, require_normal
 
 _LN2 = math.log(2.0)
 
@@ -29,14 +29,6 @@ def degree_threshold(alpha, N):
     if N < 1:
         raise ParameterError(f"grid size must be >= 1, got {N}")
     return 0.5 - alpha + 0.5 * math.sqrt((2.0 * alpha + 1.0) * (2.0 * alpha + 2.0 * N + 1.0))
-
-
-def hypothesis_holds(n, N, alpha):
-    """True iff n+1 <= n(alpha, N).
-
-    Exact real comparison with no epsilon slack; boundary equality counts.
-    """
-    return n + 1 <= degree_threshold(alpha, N)
 
 
 def ratio_discrete_continuous(n, N):
@@ -116,37 +108,6 @@ def simplified_constant(n, alpha):
         - 2.0 * alpha * _LN2
     )
     return require_normal(value, "simplified constant at n={}, alpha={!r}", n, alpha)
-
-
-def alpha0_sandwich_logs(n):
-    """(log lower, log exact, log upper) of the alpha = 0 sandwich
-
-        D_n d_n <= 2^{n+1}(n+1)!/(2n+2)! <= D_n,
-
-    which is the Stirling-type enclosure of v_{n+1}; kept in log space so
-    the comparison survives degrees in the hundreds where the plain
-    values underflow.
-    """
-    if n < 0:
-        raise DomainError(f"degree must be >= 0, got {n}")
-    return stirling_sandwich_logs(n + 1)
-
-
-def alpha0_constant(n):
-    """The alpha = 0 sandwich pair (D_n, d_n):
-
-        D_n = sqrt(pi(n+1))/(2^{n+1}(n+1)!) e^{1/(6(n+1)) - 1/(24(n+1)+1)}
-        d_n = e^{2/(12(n+1)+1) + 1/(24(n+1)+1) - 1/(6(n+1)) - 1/(24(n+1))}
-
-    The exact constant 2^{n+1}(n+1)!/(2n+2)! lies in [D_n d_n, D_n].
-    """
-    log_lower, _, log_upper = alpha0_sandwich_logs(n)
-    return math.exp(log_upper), math.exp(log_lower - log_upper)
-
-
-def alpha0_exact_constant(n):
-    """Exact alpha = 0 constant 2^{n+1}(n+1)!/(2n+2)!."""
-    return math.exp(alpha0_sandwich_logs(n)[1])
 
 
 def min_nodes(n, alpha):

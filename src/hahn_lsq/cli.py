@@ -176,8 +176,7 @@ def cmd_basis(config):
     w = hahn.DiscreteWeight.from_params(params)
     table = hahn.hahn_table(n, np.arange(params.N + 1, dtype=float), params)
     norms = [hahn.hahn_norm_sq(k, params) for k in range(n + 1)]
-    # <Q_j, Q_k> for all k > j from one product, each summed as
-    # hahn.inner_product sums it
+    # <Q_j, Q_k> for all k > j from one product, each row summed by fsum
     residuals = []
     for j in range(n + 1):
         products = (table[j] * table[j + 1 :]) * w.values

@@ -1,10 +1,7 @@
 """Hahn polynomials Q_n(x; alpha, beta, N) on the integer grid {0..N}.
 
-Weight values built in log space, hypergeometric and recurrence
-evaluation, norms from the recurrence coefficients, weighted inner
-products, and the normalized symmetric family on [-1,1].  The series is
-summed in exact rationals and rounded once; the recurrence and the sums
-run in floats.
+The weight vector built in log space, recurrence evaluation, and norms
+from the recurrence coefficients, all in floats.
 """
 
 import functools
@@ -13,17 +10,14 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import (
     DegreeError,
     InstabilityError,
-    LengthMismatchError,
     NumericalRangeWarning,
     ParameterError,
-    ThresholdError,
 )
 from .specfun import require_normal
 
@@ -79,19 +73,6 @@ def _check_range(n, N):
         )
 
 
-def weight(i, params):
-    """Weight omega(i) = C(alpha+i, i) * C(beta+N-i, N-i), strictly positive.
-
-    The same running log1p sums as DiscreteWeight.from_params, so the two
-    agree; a weight past the double range raises an OverflowError.
-    """
-    N = params.N
-    if i < 0 or i > N:
-        raise IndexError(f"grid index must lie in [0, {N}], got {i}")
-    log_value = _log_binomials(params.alpha, i)[-1] + _log_binomials(params.beta, N - i)[-1]
-    return math.exp(log_value)
-
-
 def _log_ratios(a, N):
     """log((a+j)/j) = log1p(a/j) for j = 1..N; log C(a+i, i) sums the first i."""
     return np.log1p(a / np.arange(1.0, N + 1.0))
@@ -127,30 +108,6 @@ class DiscreteWeight:
     def scaled(self):
         """omega / max omega, which never overflows."""
         return np.exp(self.log_values - self.log_values.max())
-
-
-def hahn_eval(n, x, params):
-    """Q_n(x) as the terminating hypergeometric sum
-
-        sum_k (-n)_k (n+alpha+beta+1)_k (-x)_k / ((alpha+1)_k (-N)_k k!).
-
-    x may be any real; off the integer grid this is the same polynomial.
-    The alternating terms reach ~1e16 times the result for moderate n
-    and N, far beyond what compensated float summation can absorb, so
-    the terms are accumulated exactly in rational arithmetic (every
-    double is a dyadic rational) and rounded once at the end.  Q_n(0)=1
-    comes out exact.
-    """
-    _check_degree(n, params.N)
-    _check_range(n, params.N)
-    a, b, N = Fraction(params.alpha), Fraction(params.beta), params.N
-    x = Fraction(float(x))
-    term = total = Fraction(1)
-    for k in range(n):
-        term = term * ((k - n) * (n + a + b + 1 + k) * (k - x))
-        term = term / ((a + 1 + k) * (k - N) * (k + 1))
-        total += term
-    return float(total)
 
 
 @functools.lru_cache(maxsize=128, typed=True)
@@ -254,64 +211,3 @@ def hahn_norm_sq(k, params):
     if math.isinf(value):
         raise InstabilityError(f"norm of Q_{k} overflows for alpha={a}, beta={b}, N={N}")
     return require_normal(value, "norm of Q_{} for alpha={}, beta={}, N={}", k, a, b, N)
-
-
-def inner_product(f_values, g_values, weight):
-    """Discrete inner product sum_i f(i) g(i) omega(i), via fsum."""
-    w = weight.values
-    f = np.asarray(f_values, dtype=float)
-    g = np.asarray(g_values, dtype=float)
-    if f.shape != w.shape or g.shape != w.shape:
-        raise LengthMismatchError(
-            f"sample arrays must have length N+1={w.size}, got {f.size} and {g.size}"
-        )
-    return math.fsum((f * g * w).tolist())
-
-
-def normalized_hahn_eval(k, t, params):
-    """Normalized symmetric polynomial on [-1,1] (alpha = beta only):
-
-        hatQ_k(t) = (-1)^k Q_k(N(1+t)/2) / sqrt(<Q_k,Q_k>).
-    """
-    if not params.symmetric:
-        raise ParameterError(
-            f"normalized family needs alpha = beta, got {params.alpha} != {params.beta}"
-        )
-    _check_degree(k, params.N)
-    x = params.N * (1.0 + t) / 2.0
-    return (-1) ** k * hahn_eval(k, x, params) / math.sqrt(hahn_norm_sq(k, params))
-
-
-_ENDPOINT_CHUNK = 4096
-
-
-def endpoint_max_check(n, alpha, N, refine=64):
-    """True iff Q_n(.; alpha, alpha, N) attains its maximum modulus at the
-    grid endpoints, with Q_n(0) = 1 and Q_n(N) = (-1)^n, all within 1e-10.
-
-    Sampling is the integer grid refined `refine` times.  Only asserted
-    for degrees n <= n(alpha, N); beyond that a ThresholdError is raised
-    because the endpoint property is not claimed there.
-    """
-    from .bounds import degree_threshold
-
-    params = HahnParams(alpha, alpha, N)
-    threshold = degree_threshold(alpha, N)
-    if n > threshold:
-        raise ThresholdError(
-            f"endpoint maximum asserted only for n <= n(alpha,N)={threshold:.6g}, got n={n}"
-        )
-    _check_degree(n, N)
-    _check_range(n, N)
-    tol = 1e-10
-    first, last = _hahn_top(n, 0.0, params), _hahn_top(n, float(N), params)
-    if abs(first - 1.0) > tol or abs(last - (-1.0) ** n) > tol:
-        return False
-    # the refined grid i / refine goes through the recurrence a chunk at a
-    # time, and only the top row of each chunk is kept
-    top, size = 0.0, refine * N + 1
-    for start in range(0, size, _ENDPOINT_CHUNK):
-        xs = np.arange(start, min(start + _ENDPOINT_CHUNK, size), dtype=float) / refine
-        row = _hahn_top(n, xs, params)
-        top = np.maximum(top, np.abs(row, out=row).max())
-    return bool(top <= max(abs(first), abs(last)) + tol)

@@ -102,13 +102,14 @@ def _project(values, n, params, w):
     on the grid is contracted as it appears and then dropped.  A
     symmetric family has Q_k(N - x) = (-1)^k Q_k(x), so its rows run on
     x = 0..N//2 only, against the even or the odd fold of the data.
-    Finite samples can still sum past the double range; numpy stays
-    quiet about it because Approximant rejects the non-finite coefficient.
+    Finite samples can still sum past the double range, and a norm ratio
+    can underflow to zero; numpy stays quiet about both because
+    Approximant rejects the non-finite coefficient.
     """
     N = params.N
     hahn._check_range(n, N)
     dots = np.empty(n + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         fw = values * w
         if params.symmetric:
             last = N // 2

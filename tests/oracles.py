@@ -7,6 +7,13 @@ via Fraction arithmetic, log weights and a least-squares fit in
 multi-digit mpmath, a Chebyshev-series lower bound on the best
 uniform approximation of exp, and two classical quadrature rules for
 the continuous inner products.
+
+The exceptions are the last four functions, the subjects of acceptance
+criteria that only tests call, so they live here and not in the package:
+`endpoint_max_check` (criterion 09) steps the package's recurrence
+`hahn._hahn_top`, so the criterion covers it; `inner_product` (01) sums
+on the package's weight vector; `stirling_sandwich_logs` and
+`gamma_ratio_residual` (05, 06) raise the package's DomainError.
 """
 
 import math
@@ -14,6 +21,12 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+
+from hahn_lsq import hahn
+from hahn_lsq.bounds import degree_threshold
+from hahn_lsq.errors import DomainError, LengthMismatchError, ThresholdError
+
+_LN2 = math.log(2.0)
 
 
 def frac_weight(i, alpha, beta, N):
@@ -27,8 +40,9 @@ def frac_weight(i, alpha, beta, N):
 
 
 def frac_hahn(n, x, alpha, beta, N):
-    """Q_n(x) summed term by term in exact rationals."""
-    x = Fraction(x)
+    """Q_n(x) summed term by term in exact rationals; float arguments are
+    taken at their exact binary values."""
+    x, alpha, beta = Fraction(x), Fraction(alpha), Fraction(beta)
     total = Fraction(1)
     term = Fraction(1)
     for k in range(n):
@@ -282,3 +296,84 @@ def longdouble_fit(fs, n, alpha, beta, N):
         A_prev = A
         prev, cur = cur, ((A + C - x) * cur - C * prev) / A
     return np.array(dots, dtype=ld) / (w.sum() * np.array(ratios, dtype=ld))
+
+
+def inner_product(f_values, g_values, weight):
+    """Discrete inner product sum_i f(i) g(i) omega(i), via fsum."""
+    w = weight.values
+    f = np.asarray(f_values, dtype=float)
+    g = np.asarray(g_values, dtype=float)
+    if f.shape != w.shape or g.shape != w.shape:
+        raise LengthMismatchError(
+            f"sample arrays must have length N+1={w.size}, got {f.size} and {g.size}"
+        )
+    return math.fsum((f * g * w).tolist())
+
+
+_ENDPOINT_CHUNK = 4096
+
+
+def endpoint_max_check(n, alpha, N, refine=64):
+    """True iff Q_n(.; alpha, alpha, N) attains its maximum modulus at the
+    grid endpoints, with Q_n(0) = 1 and Q_n(N) = (-1)^n, all within 1e-10.
+
+    Sampling is the integer grid refined `refine` times.  Only asserted
+    for degrees n <= n(alpha, N); beyond that a ThresholdError is raised
+    because the endpoint property is not claimed there.
+    """
+    params = hahn.HahnParams(alpha, alpha, N)
+    threshold = degree_threshold(alpha, N)
+    if n > threshold:
+        raise ThresholdError(
+            f"endpoint maximum asserted only for n <= n(alpha,N)={threshold:.6g}, got n={n}"
+        )
+    hahn._check_degree(n, N)
+    hahn._check_range(n, N)
+    tol = 1e-10
+    first, last = hahn._hahn_top(n, 0.0, params), hahn._hahn_top(n, float(N), params)
+    if abs(first - 1.0) > tol or abs(last - (-1.0) ** n) > tol:
+        return False
+    # the refined grid i / refine goes through the recurrence a chunk at a
+    # time, and only the top row of each chunk is kept
+    top, size = 0.0, refine * N + 1
+    for start in range(0, size, _ENDPOINT_CHUNK):
+        xs = np.arange(start, min(start + _ENDPOINT_CHUNK, size), dtype=float) / refine
+        row = hahn._hahn_top(n, xs, params)
+        top = np.maximum(top, np.abs(row, out=row).max())
+    return bool(top <= max(abs(first), abs(last)) + tol)
+
+
+def stirling_sandwich_logs(n):
+    """Logs of the two-sided enclosure of v_n = 2^n n!/(2n)!.
+
+    Returns (log lower, log value, log upper) with
+
+        lower = sqrt(pi n)/(2^n n!) * exp(2/(12n+1) - 1/(24n))
+        upper = sqrt(pi n)/(2^n n!) * exp(1/(6n)    - 1/(24n+1))
+
+    The log form keeps the three quantities comparable after v_n drops
+    below the smallest positive double (n around 150).  At n + 1 it is
+    the sandwich of the alpha = 0 constant C_n(0) = v_{n+1}.
+    """
+    if n < 1:
+        raise DomainError(f"stirling_sandwich requires n >= 1, got {n!r}")
+    log_fact = math.lgamma(n + 1.0)
+    log_value = n * _LN2 + log_fact - math.lgamma(2.0 * n + 1.0)
+    log_front = 0.5 * math.log(math.pi * n) - n * _LN2 - log_fact
+    log_lower = log_front + 2.0 / (12 * n + 1) - 1.0 / (24 * n)
+    log_upper = log_front + 1.0 / (6 * n) - 1.0 / (24 * n + 1)
+    return log_lower, log_value, log_upper
+
+
+def gamma_ratio_residual(a, b, N):
+    """N^(b-a) Gamma(N+a)/Gamma(N+b) - 1 - (a-b)(a+b-1)/(2N).
+
+    What remains after removing the leading correction is O(N^-2);
+    callers confirm this by checking residual * N^2 stays bounded.
+    """
+    if a <= 0 or b <= 0:
+        raise DomainError(f"gamma_ratio_residual requires a, b > 0, got a={a!r}, b={b!r}")
+    if N < 1:
+        raise DomainError(f"gamma_ratio_residual requires N >= 1, got {N!r}")
+    ratio = math.exp((b - a) * math.log(N) + math.lgamma(N + float(a)) - math.lgamma(N + float(b)))
+    return ratio - 1.0 - (a - b) * (a + b - 1.0) / (2.0 * N)

