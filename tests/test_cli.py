@@ -397,6 +397,50 @@ class TestBasisCommand:
             assert residual == expected
 
 
+def normalized_rows(args, capsys):
+    """{k: values at idx 0..N} of the normalized rows of a basis run,
+    hatQ_k(t_i) = (-1)^k Q_k(i) / sqrt(h_k) at t_i = 2i/N - 1."""
+    code, out, _ = run_cli(["basis"] + args, capsys)
+    assert code == 0
+    values = {}
+    for r in csv_rows(out):
+        if r["kind"] == "normalized":
+            values.setdefault(int(r["deg"]), []).append(float(r["value"]))
+    return {k: np.array(v) for k, v in values.items()}
+
+
+class TestNormalizedRows:
+    def test_degree_zero_value(self, capsys):
+        for N in (2, 9):
+            rows = normalized_rows(["--alpha", "0", "--nodes", str(N), "--n", "0"], capsys)
+            assert rows[0] == pytest.approx([1 / math.sqrt(N + 1)] * (N + 1), rel=1e-13)
+
+    def test_degree_one_endpoint(self, capsys):
+        # hatQ_1(1) = -Q_1(2; 0, 0, 2)/sqrt(2) = 1/sqrt(2)
+        rows = normalized_rows(["--alpha", "0", "--nodes", "2", "--n", "1"], capsys)
+        assert rows[1][-1] == pytest.approx(1 / math.sqrt(2), rel=1e-13)
+
+    def test_unit_norm_under_grid_sum(self, capsys):
+        w = hahn.DiscreteWeight.from_params(hahn.HahnParams(1.0, 1.0, 10))
+        rows = normalized_rows(["--alpha", "1", "--nodes", "10", "--n", "3"], capsys)
+        for k in range(4):
+            assert oracles.inner_product(rows[k], rows[k], w) == pytest.approx(1.0, rel=1e-12)
+
+    def test_endpoint_is_sup_below_threshold(self, capsys):
+        # on the nodes from the command, and between them from the table
+        p = hahn.HahnParams(0.5, 0.5, 40)
+        n = int(bounds.degree_threshold(0.5, 40))
+        rows = normalized_rows(["--alpha", "0.5", "--nodes", "40", "--n", str(n)], capsys)
+        xs = 20.0 * (1.0 + np.linspace(-1.0, 1.0, 2001))
+        table = hahn.hahn_table(n, xs, p)
+        for k in range(n + 1):
+            endpoint = rows[k][-1]
+            assert endpoint > 0
+            assert np.max(np.abs(rows[k])) <= endpoint + 1e-10
+            dense = np.abs(table[k]) / math.sqrt(hahn.hahn_norm_sq(k, p))
+            assert np.max(dense) <= endpoint + 1e-10
+
+
 class TestFitCommand:
     def test_constant_reproduced(self, capsys):
         code, out, _ = run_cli(

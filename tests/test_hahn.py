@@ -97,6 +97,24 @@ class TestClosedForms:
         for x in (0.0, 0.5, 1.0, 3.25, 4.0):
             assert recurrence(2, x, p) == pytest.approx(1 - 2 * x + x * x / 2, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        [(-0.25, -0.25), (0.0, 0.0), (0.5, 0.5), (2.0, 2.0), (0.0, 1.0), (1.5, -0.5), (3.0, 0.25)],
+    )
+    def test_values_at_the_ends(self, alpha, beta):
+        # Q_n(0) = 1 and Q_n(N) = (-1)^n (beta+1)_n / (alpha+1)_n; the far
+        # end sees both parameters through every A_k and C_k.  Degree 10 on
+        # grids of at least twice that, where the recurrence loses < 1e-13
+        for N in (20, 50, 200):
+            p = hahn.HahnParams(alpha, beta, N)
+            table = hahn.hahn_table(10, [0.0, float(N)], p)
+            assert np.max(np.abs(table[:, 0] - 1.0)) <= 1e-12
+            far = Fraction(1)
+            for n in range(11):
+                assert oracles.frac_hahn(n, N, alpha, beta, N) == far
+                assert table[n, 1] == pytest.approx(float(far), rel=1e-12)
+                far *= -(Fraction(beta) + 1 + n) / (Fraction(alpha) + 1 + n)
+
     def test_degree_above_grid_rejected(self):
         with pytest.raises(errors.DegreeError):
             hahn.hahn_table(5, [1.0], hahn.HahnParams(0.0, 0.0, 4))

@@ -1,6 +1,8 @@
 import math
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 
 import oracles
@@ -17,6 +19,47 @@ class TestContinuousConstant:
             expected = Fraction(2 ** (n + 1) * math.factorial(n + 1), math.factorial(2 * n + 2))
             assert jacobi.continuous_constant(n, 0.0) == pytest.approx(
                 float(expected), rel=1e-13
+            )
+
+    @pytest.mark.parametrize("alpha", [-0.5, -0.25, 0.0, 0.5, 1.0, 2.5, 10.0])
+    def test_is_the_jacobi_endpoint_over_the_leading_coefficient(self, alpha):
+        """C_n = P_{n+1}(1) / (k_{n+1} (n+1)!), with P_m = P_m^{(alpha, alpha)}
+        and k_m = binom(2m + 2 alpha, m) / 2^m its leading coefficient: the
+        sup of the error of t^{n+1}/(n+1)! against its projection."""
+        with mpmath.workdps(40):
+            for n in range(0, 141, 7):
+                m = n + 1
+                lead = mpmath.binomial(2 * m + 2 * alpha, m) / mpmath.mpf(2) ** m
+                exact = mpmath.jacobi(m, alpha, alpha, 1) / (lead * mpmath.factorial(m))
+                # the lgamma sum loses about 4e-13 relative at n = 140
+                assert jacobi.continuous_constant(n, alpha) == pytest.approx(
+                    float(exact), rel=1e-11
+                )
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+    def test_is_the_sup_error_of_the_continuous_projection(self, alpha):
+        """Project t^{n+1}/(n+1)! onto degree n under (1 - t^2)^alpha by
+        normal equations in the monomials, with quadratures that are exact
+        for these weights, and take the sup of the error on a dense grid."""
+        if alpha == 0.5:
+            inner = oracles.chebyshev2_inner
+        else:
+            a = int(alpha)
+
+            def inner(f, g):
+                # degree at most 2(n+1) + 2a <= 18
+                return oracles.gauss_legendre_inner(lambda x: f(x) * (1 - x * x) ** a, g, 18)
+
+        ts = np.linspace(-1.0, 1.0, 20001)
+        for n in range(7):
+            m = n + 1
+            gram = [[inner(lambda x, i=i: x**i, lambda x, j=j: x**j) for j in range(m)]
+                    for i in range(m)]
+            moments = [inner(lambda x, i=i: x**i, lambda x: x**m) for i in range(m)]
+            c = np.linalg.solve(np.array(gram), np.array(moments))
+            error = (ts**m - np.polynomial.polynomial.polyval(ts, c)) / math.factorial(m)
+            assert np.max(np.abs(error)) == pytest.approx(
+                jacobi.continuous_constant(n, alpha), rel=1e-12
             )
 
     def test_decreasing_in_degree(self):

@@ -1,5 +1,6 @@
 """The package's public surface: what `hahn_lsq` exports, what it no
-longer exports, and what its modules import."""
+longer exports, the exit code of each exported error, and what its
+modules import."""
 
 import ast
 import os
@@ -10,7 +11,7 @@ import sys
 import pytest
 
 import hahn_lsq
-from hahn_lsq import bounds, jacobi
+from hahn_lsq import bounds, cli, jacobi
 
 PACKAGE = pathlib.Path(hahn_lsq.__file__).parent
 
@@ -41,6 +42,46 @@ REMOVED = (
 def test_every_exported_name_resolves():
     for name in hahn_lsq.__all__:
         assert getattr(hahn_lsq, name) is not None, name
+
+
+# the exit code and stderr prefix `hahn_lsq.cli.main` reports for each error
+EXIT_CODES = {
+    "HahnLsqError": (2, "configuration error", ()),
+    "DomainError": (2, "configuration error", (ValueError,)),
+    "ParameterError": (2, "configuration error", (ValueError,)),
+    "DegreeError": (2, "configuration error", (ValueError,)),
+    "LengthMismatchError": (2, "configuration error", (ValueError,)),
+    "MissingDerivativeBoundError": (2, "configuration error", (LookupError,)),
+    "ThresholdError": (3, "threshold violation", (ValueError,)),
+    "InstabilityError": (4, "numerical instability", (RuntimeError,)),
+}
+
+
+def test_every_exported_error_has_an_exit_code():
+    exported = {
+        name for name in hahn_lsq.__all__
+        if isinstance(getattr(hahn_lsq, name), type)
+        and issubclass(getattr(hahn_lsq, name), hahn_lsq.HahnLsqError)
+    }
+    assert exported == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_error_carries_its_exit_code_and_prefix(name, capsys, monkeypatch):
+    status, prefix, builtins = EXIT_CODES[name]
+    error = getattr(hahn_lsq, name)
+    assert issubclass(error, hahn_lsq.HahnLsqError)
+    assert all(issubclass(error, base) for base in builtins)
+    assert (error.exit_code, error.prefix) == (status, prefix)
+
+    def fail(config):
+        raise error("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "bounds", fail)
+    assert cli.main(["bounds", "--alpha", "0", "--n", "1"]) == status
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{prefix}: boom\n"
 
 
 @pytest.mark.parametrize("name", REMOVED)
