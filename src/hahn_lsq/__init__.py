@@ -14,7 +14,6 @@ from .errors import (
     DomainError,
     HahnLsqError,
     InstabilityError,
-    LengthMismatchError,
     MissingDerivativeBoundError,
     NumericalRangeWarning,
     ParameterError,
@@ -34,7 +33,6 @@ from .lsq import (
     sup_error,
 )
 from .registry import polynomial_function, resolve, sine_function
-from .specfun import log_gamma
 
 __version__ = "0.1.0"
 
@@ -49,7 +47,6 @@ __all__ = [
     "HahnLsqError",
     "HahnParams",
     "InstabilityError",
-    "LengthMismatchError",
     "MissingDerivativeBoundError",
     "NumericalRangeWarning",
     "ParameterError",
@@ -64,7 +61,6 @@ __all__ = [
     "grid_points",
     "hahn_norm_sq",
     "hahn_table",
-    "log_gamma",
     "min_nodes",
     "polynomial_function",
     "ratio_discrete_continuous",

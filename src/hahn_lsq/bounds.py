@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DegreeError, DomainError, InstabilityError, ParameterError, ThresholdError
+from .errors import require_normal
 from .jacobi import continuous_constant
-from .specfun import log_gamma, require_normal
 
 _LN2 = math.log(2.0)
 
@@ -104,7 +104,7 @@ def simplified_constant(n, alpha):
         - (n + 1) * _LN2
         - math.lgamma(n + 2.0)
         + alpha * math.log(n)
-        - log_gamma(alpha + 1.0)
+        - math.lgamma(alpha + 1.0)
         - 2.0 * alpha * _LN2
     )
     return require_normal(value, "simplified constant at n={}, alpha={!r}", n, alpha)

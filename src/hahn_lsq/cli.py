@@ -35,11 +35,6 @@ from .errors import (
     ThresholdError,
 )
 
-EXIT_OK = 0
-EXIT_CONFIG = HahnLsqError.exit_code
-EXIT_THRESHOLD = ThresholdError.exit_code
-EXIT_UNSTABLE = InstabilityError.exit_code
-
 SHARPNESS_GAP_TOL = 1e-8
 
 
@@ -150,11 +145,29 @@ def _fit_bound(f, n, params):
         raise InstabilityError(f"bound at n={n}: sup|f^({n + 1})| of {f.name} overflows") from exc
 
 
-def _require_symmetric(config):
-    if config.beta is not None and config.beta != config.alpha:
+# the options each command needs, checked in tuple order; a command
+# whose tuple lacks "function" refuses --function
+_REQUIRES = {
+    "basis": ("nodes", "n"),
+    "fit": ("function", "nodes", "n"),
+    "convergence": ("function",),
+}
+_SYMMETRIC_ONLY = ("bounds", "sharpness", "convergence", "compare")
+
+
+def _check_options(config):
+    command = config.command
+    required = _REQUIRES.get(command, ())
+    if config.function is not None and "function" not in required:
+        # any other command would print its table as if it were not given
+        raise ParameterError(f"{command} takes no --function, got {config.function!r}")
+    if command in _SYMMETRIC_ONLY and config.beta is not None and config.beta != config.alpha:
         raise ParameterError(
-            f"{config.command} requires alpha = beta, got alpha={config.alpha}, beta={config.beta}"
+            f"{command} requires alpha = beta, got alpha={config.alpha}, beta={config.beta}"
         )
+    for name in required:
+        if getattr(config, name) is None:
+            raise ParameterError(f"{command} requires --{name}")
 
 
 # ---------------------------------------------------------------- commands
@@ -165,17 +178,15 @@ def _require_symmetric(config):
 
 
 def cmd_basis(config):
-    if config.nodes is None:
-        raise ParameterError("basis requires an explicit --nodes")
     n = config.n
-    if n is None:
-        raise ParameterError("basis requires --n (maximum degree)")
     params = config.params_for(config.nodes)
     if n > params.N:
         raise DegreeError(f"basis degree must satisfy n <= N={params.N}, got {n}")
+    # the norms first: where h_0 leaves the double range this raises
+    # before the weight and table overflow with numpy warnings
+    norms = [hahn.hahn_norm_sq(k, params) for k in range(n + 1)]
     w = hahn.DiscreteWeight.from_params(params)
     table = hahn.hahn_table(n, np.arange(params.N + 1, dtype=float), params)
-    norms = [hahn.hahn_norm_sq(k, params) for k in range(n + 1)]
     # <Q_j, Q_k> for all k > j from one product, each row summed by fsum
     residuals = []
     for j in range(n + 1):
@@ -201,13 +212,7 @@ def cmd_basis(config):
 
 
 def cmd_fit(config):
-    if config.function is None:
-        raise ParameterError("fit requires --function")
-    if config.nodes is None:
-        raise ParameterError("fit requires an explicit --nodes")
     n = config.n
-    if n is None:
-        raise ParameterError("fit requires --n")
     params = config.params_for(config.nodes)
     f = registry.resolve(config.function, params)
     approx = lsq.fit_hahn(f, n, params)
@@ -228,7 +233,6 @@ def cmd_fit(config):
 
 
 def cmd_bounds(config):
-    _require_symmetric(config)
     columns = tuple(field.name for field in fields(bnd.BoundReport))
     rows = []
     for n in config.degrees():
@@ -240,7 +244,6 @@ def cmd_bounds(config):
 
 
 def cmd_sharpness(config):
-    _require_symmetric(config)
     rows = []
     worst_gap = 0.0
     for n in config.degrees():
@@ -262,9 +265,6 @@ def cmd_sharpness(config):
 
 
 def cmd_convergence(config):
-    _require_symmetric(config)
-    if config.function is None:
-        raise ParameterError("convergence requires --function")
     rows = []
     for n in config.degrees():
         N = _resolve_nodes(config, n)
@@ -285,7 +285,6 @@ def cmd_convergence(config):
 
 
 def cmd_compare(config):
-    _require_symmetric(config)
     if config.nodes is not None or config.node_rule is not None:
         rule = "explicit" if config.nodes is not None else config.node_rule
         cells = [(rule, n, _resolve_nodes(config, n)) for n in config.degrees()]
@@ -375,9 +374,7 @@ def run(config):
     """Execute one experiment; returns (pieces, error).  pieces is the
     whole rendered table as a list of strings, to be written in order;
     error is None or a HahnLsqError to report once they are written."""
-    if config.function is not None and config.command not in ("fit", "convergence"):
-        # any other command would print its table as if it were not given
-        raise ParameterError(f"{config.command} takes no --function, got {config.function!r}")
+    _check_options(config)
     columns, rows, error = _COMMANDS[config.command](config)
     if config.output_format == "json":
         return render_json(config, columns, rows), error
@@ -389,7 +386,7 @@ def main(argv=None):
     try:
         namespace = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
+        return exc.code if isinstance(exc.code, int) else HahnLsqError.exit_code
     config = ExperimentConfig(**vars(namespace))
     try:
         pieces, error = run(config)
@@ -399,4 +396,4 @@ def main(argv=None):
     except HahnLsqError as exc:
         print(f"{exc.prefix}: {exc}", file=sys.stderr)
         return exc.exit_code
-    return EXIT_OK
+    return 0

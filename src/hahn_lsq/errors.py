@@ -1,9 +1,14 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the check that a
+positive constant has not underflowed below the normal double range.
 
 Each class carries the CLI's exit code and stderr prefix for it:
 configuration and domain problems exit 2, degree-threshold violations
 3, and numerical instability 4.
 """
+
+import sys
+
+_MIN_NORMAL = sys.float_info.min
 
 
 class HahnLsqError(Exception):
@@ -23,10 +28,6 @@ class ParameterError(HahnLsqError, ValueError):
 
 class DegreeError(HahnLsqError, ValueError):
     """Requested degree is incompatible with the grid size."""
-
-
-class LengthMismatchError(HahnLsqError, ValueError):
-    """Sample arrays do not match the grid length N+1."""
 
 
 class ThresholdError(HahnLsqError, ValueError):
@@ -53,3 +54,19 @@ class InstabilityError(HahnLsqError, RuntimeError):
 
 class NumericalRangeWarning(UserWarning):
     """Parameters left the range where double precision is validated."""
+
+
+def require_normal(value, what, *args):
+    """value, unless it lies below the smallest normal double.
+
+    For a positive constant that means the exponent range has run out:
+    a subnormal keeps only a few bits and zero keeps none, so an
+    InstabilityError is raised rather than a number returned.  The
+    message is what.format(*args), built only when raising.
+    """
+    if value < _MIN_NORMAL:
+        raise InstabilityError(
+            f"{what.format(*args)} = {value!r} underflows below the smallest "
+            f"normal double {_MIN_NORMAL!r}"
+        )
+    return value

@@ -18,8 +18,8 @@ from .errors import (
     InstabilityError,
     NumericalRangeWarning,
     ParameterError,
+    require_normal,
 )
-from .specfun import require_normal
 
 # The float recurrence and the fits built on it are validated against the
 # exact series on this range; beyond it nothing has checked them, so we

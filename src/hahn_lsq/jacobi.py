@@ -6,8 +6,7 @@ The discrete constant D_{n,N} is C_n times a grid factor
 
 import math
 
-from .errors import DomainError, InstabilityError, ParameterError
-from .specfun import log_gamma, require_normal
+from .errors import DomainError, InstabilityError, ParameterError, require_normal
 
 _LN2 = math.log(2.0)
 
@@ -31,16 +30,17 @@ def continuous_constant(n, alpha):
     try:
         logs = (
             (n + 1) * _LN2,
-            log_gamma(n + 2.0 * alpha + 2.0),
-            log_gamma(n + alpha + 2.0),
+            math.lgamma(n + 2.0 * alpha + 2.0),
+            math.lgamma(n + alpha + 2.0),
             -math.lgamma(n + 2.0),
-            -log_gamma(2.0 * n + 2.0 * alpha + 3.0),
-            -log_gamma(alpha + 1.0),
+            -math.lgamma(2.0 * n + 2.0 * alpha + 3.0),
+            -math.lgamma(alpha + 1.0),
         )
     except OverflowError:  # lgamma past the double range, from alpha near 1e306
         logs = (math.inf,)
     # the terms grow like alpha log alpha and cancel to log C_n = O(log n);
-    # each brings about an ulp of its own size into C_n's relative error
+    # each brings about an ulp of its own size into C_n's relative error,
+    # as the platform lgamma is correct to a few ulp across [1e-3, 1e6]
     error = 2.0**-52 * math.fsum(map(abs, logs))
     if not error <= 1e-9:
         raise InstabilityError(f"C_{n} at alpha={alpha!r}: cancelling log terms, error {error:.1e}")

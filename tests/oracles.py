@@ -24,7 +24,7 @@ import numpy as np
 
 from hahn_lsq import hahn
 from hahn_lsq.bounds import degree_threshold
-from hahn_lsq.errors import DomainError, LengthMismatchError, ThresholdError
+from hahn_lsq.errors import DomainError, ThresholdError
 
 _LN2 = math.log(2.0)
 
@@ -304,7 +304,7 @@ def inner_product(f_values, g_values, weight):
     f = np.asarray(f_values, dtype=float)
     g = np.asarray(g_values, dtype=float)
     if f.shape != w.shape or g.shape != w.shape:
-        raise LengthMismatchError(
+        raise ValueError(
             f"sample arrays must have length N+1={w.size}, got {f.size} and {g.size}"
         )
     return math.fsum((f * g * w).tolist())

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,6 +12,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from hahn_lsq import bounds, cli, errors, hahn, lsq, registry
@@ -218,10 +222,18 @@ class TestExitCodes:
              "configuration error: compare takes no --function, got 'exp'"),
             (["basis", "--alpha", "0", "--nodes", "4", "--n", "1", "--function", "sin1"], 2,
              "configuration error: basis takes no --function, got 'sin1'"),
+            (["basis", "--alpha", "0", "--n", "2"], 2, "configuration error: basis requires --nodes"),
+            (["basis", "--alpha", "0", "--nodes", "4"], 2, "configuration error: basis requires --n"),
+            (["fit", "--function", "exp", "--n", "2"], 2,
+             "configuration error: fit requires --nodes"),
+            # alpha = beta is checked before the missing --function
+            (["convergence", "--alpha", "0", "--beta", "1", "--n", "2"], 2,
+             "configuration error: convergence requires alpha = beta, got alpha=0.0, beta=1.0"),
         ],
         ids=["infinite-convergence-cells", "infinite-fit-bound", "overflowing-defect",
              "overflowing-derivative-bound", "bounds-beta", "bounds-function",
-             "sharpness-function", "compare-function", "basis-function"],
+             "sharpness-function", "compare-function", "basis-function", "basis-nodes",
+             "basis-n", "fit-nodes", "convergence-beta-before-function"],
     )
     def test_unusable_input_exits_with_one_line_and_no_table(
         self, args, status, message, fmt, capsys
@@ -256,16 +268,19 @@ class TestExitCodes:
         "args",
         [
             ["basis", "--alpha", "150", "--nodes", "3000", "--n", "1"],
+            ["basis", "--alpha", "5.225", "--beta", "1.1485509557702915e+17", "--nodes", "200",
+             "--n", "32"],
             ["fit", "--function", "poly:1e308,1e308", "--n", "1", "--nodes", "10"],
             ["fit", "--function", "poly:1e308", "--n", "1", "--nodes", "10"],
             ["fit", "--function", "exp", "--alpha", "1e100", "--beta", "0.5", "--nodes", "1000",
              "--n", "5"],
         ],
-        ids=["basis-alpha-150", "fit-infinite-samples", "fit-sum-overflows",
-             "fit-norm-ratio-underflows"],
+        ids=["basis-alpha-150", "basis-h0-overflows", "fit-infinite-samples",
+             "fit-sum-overflows", "fit-norm-ratio-underflows"],
     )
     def test_overflow_is_reported_once(self, args, capsys):
-        # basis prints the raw weights and norms, which overflow here; the
+        # basis prints the raw weights and norms, which overflow here (the
+        # second run's h_0 does, and must raise before its table warns); the
         # first fit's target is inf at t = 1, the second one's finite
         # samples sum past the double range in the projection, and the
         # third one's norm ratio h_4 / h_0 underflows to zero, so the
@@ -319,8 +334,75 @@ class TestExitCodes:
         assert len(cells) == {"bounds": 12, "compare": 16}[command]
         assert min(cells) >= sys.float_info.min
 
-    def test_distinct_statuses(self):
-        assert len({cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_THRESHOLD, cli.EXIT_UNSTABLE}) == 4
+
+# each registry family, two targets whose derivative bounds overflow a
+# double, and two extremal witnesses
+DOMAIN_FUNCTIONS = ("const1", "linear", "exp", "runge", "sin1", "sin7", "poly:1,-2,0.5",
+                    POLY_1E300, SIN_1E20, "extremal:2", "extremal:20")
+# alpha and beta across the documented domain: (-1, 10] and 10^0 .. 10^300
+DOMAIN_PARAMETERS = st.floats(-0.999, 10.0) | st.floats(0.0, 300.0).map(lambda e: 10.0**e)
+PREFIXES = ("configuration error: ", "threshold violation: ", "numerical instability: ")
+
+
+@st.composite
+def domain_argvs(draw):
+    """An argv of any command with options from the documented domain,
+    inside the validated n <= 40, N <= 10^4 (past it a
+    NumericalRangeWarning is the documented output).  One draw in eight
+    leaves out an option the command needs or adds one it refuses."""
+
+    def rarely():
+        return draw(st.integers(0, 7)) == 0
+
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    alpha = draw(DOMAIN_PARAMETERS)
+    # "--alpha=" form: argparse reads a lone -6e-08 as an option, not a number
+    argv = [command, f"--alpha={alpha!r}", "--format", draw(st.sampled_from(("csv", "json")))]
+    if command in ("basis", "fit") or rarely():
+        argv.append(f"--beta={draw(DOMAIN_PARAMETERS)!r}")
+    # the sharpness witness has degree n + 1
+    n = None if rarely() else draw(st.integers(0, 39 if command == "sharpness" else 40))
+    if n is not None:
+        argv += ["--n", str(n)]
+    rule = None
+    if command in ("basis", "fit") or draw(st.booleans()):
+        if not rarely():
+            argv += ["--nodes", str(draw(st.integers(1, 400 if command == "basis" else 3000)))]
+    elif command != "compare" or draw(st.booleans()):
+        rule = draw(st.sampled_from(("c3", "c4")))
+        argv += ["--node-rule", rule]
+    # fit and convergence take --function, the other commands refuse it
+    if (command in ("fit", "convergence")) != rarely():
+        argv += ["--function", draw(st.sampled_from(DOMAIN_FUNCTIONS))]
+    if rule == "c3" and n is not None and alpha > -0.5 and command in ("sharpness", "convergence"):
+        # c3 grows like 2n^2 / (2 alpha + 1), past 10^4 near alpha = -1/2
+        assume(bounds.min_nodes(n, alpha)[0] <= hahn.MAX_VALIDATED_NODES)
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(domain_argvs())
+def test_every_domain_argv_exits_with_a_documented_outcome(argv):
+    # pytest turns a RuntimeWarning or NumericalRangeWarning into a failure
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3, 4)
+    if code != 0:
+        assert len(err.splitlines()) == 1 and err.startswith(PREFIXES), err
+        return
+    assert err == ""
+    if out.startswith("{"):
+        cells = [value for row in json.loads(out)["rows"] for value in row.values()]
+    else:
+        cells = [cell for line in out.splitlines()[1:] for cell in line.split(",")]
+    for cell in cells:
+        try:
+            value = float(cell)
+        except (TypeError, ValueError):  # an empty or null cell, or a name
+            continue
+        assert math.isfinite(value), cell
 
 
 class TestBasisCommand:

@@ -263,7 +263,7 @@ class TestInnerProduct:
     def test_length_mismatch(self):
         p = hahn.HahnParams(0.0, 0.0, 5)
         w = hahn.DiscreteWeight.from_params(p)
-        with pytest.raises(errors.LengthMismatchError):
+        with pytest.raises(ValueError):
             oracles.inner_product(np.ones(5), np.ones(6), w)
 
 

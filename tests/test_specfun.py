@@ -6,50 +6,43 @@ import mpmath
 import pytest
 
 import oracles
-from hahn_lsq import errors, specfun
+from hahn_lsq import errors
 
 
 class TestLogGamma:
-    def test_matches_platform_lgamma(self):
-        for x in (0.5, 1.0, 2.75, 41.0, 1e5):
-            assert specfun.log_gamma(x) == math.lgamma(x)
-
+    # the bound constants call the platform lgamma directly; their
+    # rounding bound assumes it is correct to a few ulp on [1e-3, 1e6]
     def test_half_integer_value(self):
-        assert specfun.log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-15)
+        assert math.lgamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-15)
 
     @pytest.mark.parametrize("x", [1e-3, 0.1, 0.5, 1.5, 2.75, 10.25, 170.5, 1e4, 1e6])
     def test_within_a_few_ulp_of_multi_digit_log_gamma(self, x):
         with mpmath.workdps(40):
             exact = mpmath.loggamma(x)
             # relative where |ln Gamma| >= 1, absolute near its zeros at 1 and 2
-            assert abs(specfun.log_gamma(x) - exact) <= 4 * sys.float_info.epsilon * max(
+            assert abs(math.lgamma(x) - exact) <= 4 * sys.float_info.epsilon * max(
                 1, abs(exact)
             )
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
-    def test_nonpositive_rejected(self, x):
-        with pytest.raises(errors.DomainError):
-            specfun.log_gamma(x)
 
 
 class TestRequireNormal:
     @pytest.mark.parametrize("value", [sys.float_info.min, 1.0, 1e308, math.inf])
     def test_normal_value_is_returned_unchanged(self, value):
-        assert specfun.require_normal(value, "C_{}", 3) is value
+        assert errors.require_normal(value, "C_{}", 3) is value
 
     @pytest.mark.parametrize("value", [sys.float_info.min / 2, 5e-324, 0.0])
     def test_value_below_the_normal_range_raises(self, value):
         with pytest.raises(errors.InstabilityError, match=r"^C_3 at alpha=0\.5 = .* underflows"):
-            specfun.require_normal(value, "C_{} at alpha={!r}", 3, 0.5)
+            errors.require_normal(value, "C_{} at alpha={!r}", 3, 0.5)
 
     def test_message_is_built_only_when_raising(self):
         class Unformattable:
             def __format__(self, spec):
                 raise AssertionError("message built for a normal value")
 
-        assert specfun.require_normal(2.0, "{}", Unformattable()) == 2.0
+        assert errors.require_normal(2.0, "{}", Unformattable()) == 2.0
         with pytest.raises(AssertionError):
-            specfun.require_normal(0.0, "{}", Unformattable())
+            errors.require_normal(0.0, "{}", Unformattable())
 
 
 class TestStirlingSandwich:
