@@ -17,6 +17,7 @@ import copy
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass, fields
 from itertools import chain, count, islice, repeat
@@ -36,6 +37,8 @@ from .errors import (
 )
 
 SHARPNESS_GAP_TOL = 1e-8
+# the largest grid a command builds; bounds.py calls grids up to it safe
+MAX_NODES = 10**6
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,8 @@ class ExperimentConfig:
         raise ParameterError("a degree is required: pass --n or --n-range")
 
     def params_for(self, N):
+        if N > MAX_NODES:
+            raise ParameterError(f"grid of N={N} nodes exceeds the limit N <= {MAX_NODES}")
         return hahn.HahnParams(self.alpha, self.resolved_beta(), N)
 
 
@@ -97,6 +102,9 @@ def _parser():
         prog="hahn-lsq",
         description="Least-squares approximation on equidistant grids via Hahn expansions.",
     )
+    # argparse takes only -1 and -.5 forms for a negative number, so a lone
+    # "--alpha -5e-08" would read -5e-08 as an option; add the exponent form
+    parser._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     parser.add_argument("command", choices=tuple(_COMMANDS))
     parser.add_argument("--alpha", type=_finite_float, default=0.0)
     parser.add_argument("--beta", type=_finite_float, default=None)
@@ -143,6 +151,12 @@ def _fit_bound(f, n, params):
         return None
     except OverflowError as exc:
         raise InstabilityError(f"bound at n={n}: sup|f^({n + 1})| of {f.name} overflows") from exc
+
+
+def _fit_report(f, n, params):
+    """The degree-n fit of f and its ErrorReport against _fit_bound."""
+    approx = lsq.fit_hahn(f, n, params)
+    return approx, lsq.sup_error(f, approx, bound=_fit_bound(f, n, params))
 
 
 # the options each command needs, checked in tuple order; a command
@@ -214,9 +228,7 @@ def cmd_basis(config):
 def cmd_fit(config):
     n = config.n
     params = config.params_for(config.nodes)
-    f = registry.resolve(config.function, params)
-    approx = lsq.fit_hahn(f, n, params)
-    report = lsq.sup_error(f, approx, bound=_fit_bound(f, n, params))
+    approx, report = _fit_report(registry.resolve(config.function, params), n, params)
     # a zero bound (polynomial reproduced exactly) makes the quotient
     # infinite; serialize that as an empty cell, not "inf"
     ratio = report.ratio
@@ -249,13 +261,11 @@ def cmd_sharpness(config):
     for n in config.degrees():
         N = _resolve_nodes(config, n)
         params = config.params_for(N)
-        witness = lsq.extremal_function(n, params)
-        approx = lsq.fit_hahn(witness, n, params)
-        constant = bnd.worst_case_constant(n, N, config.alpha)
-        measured = lsq.sup_error(witness, approx).sup_error
-        gap = abs(measured - constant) / constant
+        # a unit (n+1)-st derivative: the bound is D_{n,N}, as fit prints it
+        _, report = _fit_report(registry.resolve(f"extremal:{n}", params), n, params)
+        gap = abs(report.sup_error - report.bound) / report.bound
         worst_gap = max(worst_gap, gap)
-        rows.append((n, N, config.alpha, measured, constant, gap))
+        rows.append((n, N, config.alpha, report.sup_error, report.bound, gap))
     error = None
     if worst_gap > SHARPNESS_GAP_TOL:
         error = InstabilityError(
@@ -274,8 +284,7 @@ def cmd_convergence(config):
             raise ParameterError(
                 f"convergence requires a function with derivative bounds, {f.name} has none"
             )
-        approx = lsq.fit_hahn(f, n, params)
-        report = lsq.sup_error(f, approx, bound=_fit_bound(f, n, params))
+        _, report = _fit_report(f, n, params)
         try:
             defect = lsq.class_K_defect(f, n, config.alpha)
         except OverflowError as exc:

@@ -63,19 +63,9 @@ def grid_points(N):
     return (2.0 * mu - N) / N
 
 
-def _sample(f, ts):
-    """Evaluate a FunctionSpec on an array, tolerating scalar-only evaluators."""
-    try:
-        vals = np.asarray(f.evaluator(ts), dtype=float)
-        if vals.shape == ts.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(f.evaluator(t)) for t in ts])
-
-
-def _sample_scalar(f, t):
-    return float(np.asarray(f.evaluator(t), dtype=float).reshape(()))
+def _sample(f, t):
+    """f at t, a float or a float array, as a float array of t's shape."""
+    return np.asarray(f.evaluator(t), dtype=float)
 
 
 def _weighted_samples(f, n, params):
@@ -93,24 +83,26 @@ def _weighted_samples(f, n, params):
     return fs, hahn.DiscreteWeight.from_params(params).scaled()
 
 
-def _project(values, n, params, w):
-    """Approximant with c_k = <values, Q_k>_w / <Q_k, Q_k>_w, k = 0..n.
+def fit_hahn(f, n, params):
+    """Least-squares coefficients c_k = <f, Q_k>_omega / <Q_k, Q_k>_omega
+    for k = 0..n, from samples on the equidistant grid.
 
-    The coefficients do not change when w is rescaled, so w is the
-    scaled weight and the norms are its sum times the recurrence ratios.
-    The recurrence runs against the data (Forsythe 1957): each row Q_k
-    on the grid is contracted as it appears and then dropped.  A
+    The coefficients do not change when omega is rescaled, so the weight
+    w is the scaled one and the norms are its sum times the recurrence
+    ratios.  The recurrence runs against the data (Forsythe 1957): each
+    row Q_k on the grid is contracted as it appears and then dropped.  A
     symmetric family has Q_k(N - x) = (-1)^k Q_k(x), so its rows run on
     x = 0..N//2 only, against the even or the odd fold of the data.
     Finite samples can still sum past the double range, and a norm ratio
     can underflow to zero; numpy stays quiet about both because
     Approximant rejects the non-finite coefficient.
     """
+    fs, w = _weighted_samples(f, n, params)
     N = params.N
     hahn._check_range(n, N)
     dots = np.empty(n + 1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        fw = values * w
+        fw = fs * w
         if params.symmetric:
             last = N // 2
             head, tail = fw[: last + 1], fw[::-1][: last + 1]
@@ -125,13 +117,6 @@ def _project(values, n, params, w):
             dots[k] = row @ folds[k % 2]
         coefficients = dots / (w.sum() * hahn._norm_ratios(n, params))
     return Approximant(params, n, tuple(coefficients.tolist()))
-
-
-def fit_hahn(f, n, params):
-    """Least-squares coefficients c_k = <f, Q_k>_omega / <Q_k, Q_k>_omega
-    for k = 0..n, from samples on the equidistant grid."""
-    fs, w = _weighted_samples(f, n, params)
-    return _project(fs, n, params, w)
 
 
 def evaluate(a, t):
@@ -181,45 +166,45 @@ def _chebyshev_coefficients(a):
     return matrix @ evaluate(a, nodes)
 
 
-# T_0, T_1, ... on _half_candidates(), in blocks of _CHEBYSHEV_BLOCK rows.
-# It depends on no parameter, so one table serves every fit; it is built
-# on first use and grows a block at a time, and no block is ever copied.
+# T_0, T_1, ... on _half_candidates(), in blocks of _CHEBYSHEV_BLOCK rows shared
+# by every fit.  The 8 most recently used are kept (degrees below 128); _scan
+# takes them in order, so a block it lacks is built from the one just used.
 _CHEBYSHEV_BLOCK = 16
-_chebyshev_blocks = []
 
 
-def _chebyshev_table(rows):
-    """The blocks holding T_0..T_{rows-1} on _half_candidates(), grown as needed."""
+@functools.lru_cache(maxsize=8)
+def _chebyshev_block(index):
+    """T_k on _half_candidates() for the _CHEBYSHEV_BLOCK degrees k from
+    index * _CHEBYSHEV_BLOCK, read-only, run on from the last two rows of
+    the block before it."""
     t = _half_candidates()
-    while len(_chebyshev_blocks) * _CHEBYSHEV_BLOCK < rows:
-        block = np.empty((_CHEBYSHEV_BLOCK, t.size))
-        if _chebyshev_blocks:
-            older, old = _chebyshev_blocks[-1][-2:]
-            start = 0
-        else:
-            block[0], block[1] = 1.0, t
-            older, old = block[:2]
-            start = 2
-        for row in block[start:]:
-            # T_{k+1} = 2 t T_k - T_{k-1}
-            np.multiply(old, t, out=row)
-            row *= 2.0
-            row -= older
-            older, old = old, row
-        _chebyshev_blocks.append(block)
-    return _chebyshev_blocks
+    block = np.empty((_CHEBYSHEV_BLOCK, t.size))
+    if index:
+        older, old = _chebyshev_block(index - 1)[-2:]
+        start = 0
+    else:
+        block[0], block[1] = 1.0, t
+        older, old = block[:2]
+        start = 2
+    for row in block[start:]:
+        # T_{k+1} = 2 t T_k - T_{k-1}
+        np.multiply(old, t, out=row)
+        row *= 2.0
+        row -= older
+        older, old = old, row
+    block.flags.writeable = False
+    return block
 
 
 def _scan(coefficients):
     """The Chebyshev series with these coefficients on _candidates().
     T_k(-t) = (-1)^k T_k(t), so the even part E and the odd part O are
-    summed apart against the shared table on t >= 0, one matrix-vector
+    summed apart against the shared blocks on t >= 0, one matrix-vector
     product per block and parity, and p(+-t) = E(t) +- O(t)."""
-    blocks = _chebyshev_table(coefficients.size)
     even, odd = np.zeros((2, _half_candidates().size))
     for start in range(0, coefficients.size, _CHEBYSHEV_BLOCK):
         part = coefficients[start : start + _CHEBYSHEV_BLOCK]
-        block = blocks[start // _CHEBYSHEV_BLOCK][: part.size]
+        block = _chebyshev_block(start // _CHEBYSHEV_BLOCK)[: part.size]
         even += part[0::2] @ block[0::2]
         odd += part[1::2] @ block[1::2]
     return np.concatenate(((even - odd)[:0:-1], even + odd))
@@ -272,7 +257,7 @@ def sup_error(f, a, bound=None):
     series = coefficients.tolist()
 
     def local_error(t):
-        return abs(_sample_scalar(f, t) - _clenshaw(series, t))
+        return abs(float(_sample(f, t)) - _clenshaw(series, t))
 
     refined_t, refined_v = _golden_max(local_error, lo, hi)
     if refined_v > best_v:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import dataclasses
 from dataclasses import asdict
 
 import numpy as np
@@ -118,6 +119,33 @@ class TestConfig:
         config = cli.ExperimentConfig(command="basis", alpha=0.5)
         assert config.resolved_beta() == 0.5
         assert config.params_for(6).beta == 0.5
+
+    @pytest.mark.parametrize(
+        "option,value", [("--alpha", "-5e-08"), ("--beta", "-1e-05"), ("--alpha", "-1E-5")]
+    )
+    def test_negative_exponent_is_read_as_a_number(self, option, value, capsys):
+        # argparse alone reads a lone -5e-08 as an option and exits 2
+        args = ["basis", option, value, "--nodes", "4", "--n", "1", "--format", "json"]
+        code, out, err = run_cli(args, capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["config"][option[2:]] == float(value)
+
+    def test_node_count_past_the_cap_is_a_configuration_error(self, capsys):
+        args = ["fit", "--function", "exp", "--nodes", str(cli.MAX_NODES + 1), "--n", "1"]
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"configuration error: grid of N={cli.MAX_NODES + 1} nodes")
+
+    def test_c3_node_count_near_alpha_minus_half_is_refused_before_a_grid(self):
+        # c3 grows like 2n^2 / (2 alpha + 1): 1.6e10 nodes here, which the
+        # grid, its samples and its weight could never hold
+        config = cli.ExperimentConfig(command="sharpness", alpha=-0.4999999, n=40, node_rule="c3")
+        N = cli._resolve_nodes(config, 40)
+        assert N == 16000000080
+        with pytest.raises(errors.ParameterError, match="exceeds the limit"):
+            config.params_for(N)
+        assert config.params_for(cli.MAX_NODES).N == cli.MAX_NODES
 
     def test_options_may_precede_the_command(self, capsys):
         _, first, _ = run_cli(["bounds", "--alpha", "0.5", "--n-range", "1..4"], capsys)
@@ -356,10 +384,9 @@ def domain_argvs(draw):
 
     command = draw(st.sampled_from(sorted(cli._COMMANDS)))
     alpha = draw(DOMAIN_PARAMETERS)
-    # "--alpha=" form: argparse reads a lone -6e-08 as an option, not a number
-    argv = [command, f"--alpha={alpha!r}", "--format", draw(st.sampled_from(("csv", "json")))]
+    argv = [command, "--alpha", repr(alpha), "--format", draw(st.sampled_from(("csv", "json")))]
     if command in ("basis", "fit") or rarely():
-        argv.append(f"--beta={draw(DOMAIN_PARAMETERS)!r}")
+        argv += ["--beta", repr(draw(DOMAIN_PARAMETERS))]
     # the sharpness witness has degree n + 1
     n = None if rarely() else draw(st.integers(0, 39 if command == "sharpness" else 40))
     if n is not None:
@@ -712,6 +739,22 @@ class TestSharpnessCommand:
         assert out == ""
         assert len(err.splitlines()) == 1 and "witness scale" in err
 
+    @pytest.mark.parametrize(
+        "alpha,n,nodes",
+        [(a[2], int(a[4]), a[6]) for name, a in GOLDEN_RUNS if name.startswith("sharpness")]
+        + [(alpha, n, str(2 * n * (n + 1))) for alpha in ("0", "0.5", "2") for n in range(1, 6)],
+    )
+    def test_bound_is_the_bound_fit_prints_for_the_witness(self, alpha, n, nodes, capsys):
+        common = ["--alpha", alpha, "--nodes", nodes, "--n", str(n)]
+        code, out, _ = run_cli(["sharpness", *common], capsys)
+        assert code == 0
+        (row,) = csv_rows(out)
+        code, out, _ = run_cli(["fit", "--function", f"extremal:{n}", *common], capsys)
+        assert code == 0
+        fit = {r["kind"]: r["value"] for r in csv_rows(out)}
+        assert row["bound"] == fit["bound"] != ""
+        assert row["measured"] == fit["sup_error"]
+
     def test_gap_past_tolerance_exits_unstable_after_the_rows(
         self, monkeypatch, tmp_path, capsys
     ):
@@ -719,7 +762,7 @@ class TestSharpnessCommand:
 
         def widened(f, a, bound=None):
             report = exact(f, a, bound)
-            return lsq.ErrorReport(report.sup_error * (1 + 1e-6), report.argmax)
+            return dataclasses.replace(report, sup_error=report.sup_error * (1 + 1e-6))
 
         monkeypatch.setattr(lsq, "sup_error", widened)
         args = ["sharpness", "--alpha", "0.5", "--n", "3", "--nodes", "40"]

@@ -174,11 +174,10 @@ def test_candidates_are_a_symmetric_superset_of_the_old_grid():
     assert np.max(nearest) <= 4e-16
 
 
-def test_chebyshev_table_grows_in_blocks_without_copies():
-    before = list(lsq._chebyshev_table(1))
-    blocks = lsq._chebyshev_table((len(before) + 2) * lsq._CHEBYSHEV_BLOCK + 1)
-    assert len(blocks) == len(before) + 3
-    assert all(new is old for new, old in zip(blocks, before))
+def test_chebyshev_blocks_are_shared_read_only_and_bounded():
+    blocks = [lsq._chebyshev_block(i) for i in range(3)]
+    assert all(lsq._chebyshev_block(i) is block for i, block in enumerate(blocks))
+    assert not any(block.flags.writeable for block in blocks)
     rows = np.concatenate(blocks)
     # numpy's Chebyshev Vandermonde matrix is an independent build of the
     # same rows on t >= 0; a recurrence loses up to about k ulps in degree k
@@ -187,6 +186,15 @@ def test_chebyshev_table_grows_in_blocks_without_copies():
     vander = np.polynomial.chebyshev.chebvander(half, rows.shape[0] - 1).T
     k = np.arange(rows.shape[0])[:, None]
     assert np.all(np.abs(rows - vander) <= 2e-15 * np.maximum(k, 1))
+    # a scan at n = 200 needs 13 blocks and keeps 8; an evicted block is
+    # built again to the same bits
+    a = lsq.Approximant(hahn.HahnParams(0.0, 0.0, 400), 200, (1.0,) + (0.0,) * 200)
+    with pytest.warns(errors.NumericalRangeWarning):
+        lsq.sup_error(registry.resolve("const1"), a)
+    assert lsq._chebyshev_block.cache_info().currsize <= 8
+    rebuilt = [lsq._chebyshev_block(i) for i in range(3)]
+    assert rebuilt[0] is not blocks[0]
+    assert np.concatenate(rebuilt).tobytes() == rows.tobytes()
 
 
 @past_validated_range
@@ -206,7 +214,7 @@ def test_polish_objective_equals_the_scan_at_the_grid_argmax(name, n, N, alpha, 
     errs = np.abs(lsq._sample(f, cand) - lsq._scan(coefficients))
     i = int(np.argmax(errs))
     t = float(cand[i])
-    polish = abs(lsq._sample_scalar(f, t) - lsq._clenshaw(coefficients.tolist(), t))
+    polish = abs(float(lsq._sample(f, t)) - lsq._clenshaw(coefficients.tolist(), t))
     assert abs(polish - errs[i]) <= 8 * np.finfo(float).eps * np.sum(np.abs(coefficients))
 
 
