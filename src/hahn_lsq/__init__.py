@@ -10,8 +10,6 @@ from .bounds import (
     worst_case_constant,
 )
 from .errors import (
-    DegreeError,
-    DomainError,
     HahnLsqError,
     InstabilityError,
     MissingDerivativeBoundError,
@@ -39,9 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Approximant",
     "BoundReport",
-    "DegreeError",
     "DiscreteWeight",
-    "DomainError",
     "ErrorReport",
     "FunctionSpec",
     "HahnLsqError",

@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DegreeError, DomainError, InstabilityError, ParameterError, ThresholdError
-from .errors import require_normal
+from .errors import InstabilityError, ParameterError, ThresholdError, require_normal
 from .jacobi import continuous_constant
 
 _LN2 = math.log(2.0)
@@ -39,9 +38,9 @@ def ratio_discrete_continuous(n, N):
     which equals the quotient of the discrete and continuous constants.
     """
     if n < 0:
-        raise DegreeError(f"degree must be >= 0, got {n}")
+        raise ParameterError(f"degree must be >= 0, got {n}")
     if n + 1 > N:
-        raise DegreeError(f"grid factor needs n+1 <= N, got n={n}, N={N}")
+        raise ParameterError(f"grid factor needs n+1 <= N, got n={n}, N={N}")
     r = 1.0
     for i in range(1, n + 1):
         r *= 1.0 - i / N
@@ -74,7 +73,7 @@ def worst_case_constant(n, N, alpha):
     if alpha <= -0.5:
         raise ParameterError(f"constant defined for alpha > -1/2, got {alpha}")
     if n < 0:
-        raise DegreeError(f"degree must be >= 0, got {n}")
+        raise ParameterError(f"degree must be >= 0, got {n}")
     threshold = degree_threshold(alpha, N)
     if n + 1 > threshold:
         raise ThresholdError(
@@ -82,7 +81,7 @@ def worst_case_constant(n, N, alpha):
             f"for alpha={alpha}, N={N}"
         )
     if n + 1 > N:
-        raise DegreeError(f"need n+1 <= N, got n={n}, N={N}")
+        raise ParameterError(f"need n+1 <= N, got n={n}, N={N}")
     return constants_row(n, N, alpha)[1]
 
 
@@ -96,7 +95,7 @@ def simplified_constant(n, alpha):
     below the smallest normal double raises an InstabilityError.
     """
     if n < 1:
-        raise DomainError(f"simplified constant needs n >= 1, got {n}")
+        raise ParameterError(f"simplified constant needs n >= 1, got {n}")
     if alpha <= -0.5:
         raise ParameterError(f"constant defined for alpha > -1/2, got {alpha}")
     value = math.exp(
@@ -125,7 +124,7 @@ def min_nodes(n, alpha):
     if alpha <= -0.5:
         raise ParameterError(f"node thresholds defined for alpha > -1/2, got {alpha}")
     if n < 0:
-        raise DomainError(f"degree must be >= 0, got {n}")
+        raise ParameterError(f"degree must be >= 0, got {n}")
     p, q = alpha.as_integer_ratio()
     c3 = -(-(2 * n * n * q + (4 * p + 2 * q) * n) // (2 * p + q))
     c4 = 2 * n * (n + 1)

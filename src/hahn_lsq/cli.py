@@ -28,7 +28,6 @@ import numpy as np
 from . import bounds as bnd
 from . import hahn, lsq, registry
 from .errors import (
-    DegreeError,
     HahnLsqError,
     InstabilityError,
     MissingDerivativeBoundError,
@@ -195,7 +194,7 @@ def cmd_basis(config):
     n = config.n
     params = config.params_for(config.nodes)
     if n > params.N:
-        raise DegreeError(f"basis degree must satisfy n <= N={params.N}, got {n}")
+        raise ParameterError(f"basis degree must satisfy n <= N={params.N}, got {n}")
     # the norms first: where h_0 leaves the double range this raises
     # before the weight and table overflow with numpy warnings
     norms = [hahn.hahn_norm_sq(k, params) for k in range(n + 1)]

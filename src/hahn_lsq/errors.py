@@ -18,16 +18,9 @@ class HahnLsqError(Exception):
     prefix = "configuration error"
 
 
-class DomainError(HahnLsqError, ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
-
-
 class ParameterError(HahnLsqError, ValueError):
-    """Structural precondition violated (e.g. alpha <= -1, alpha != beta)."""
-
-
-class DegreeError(HahnLsqError, ValueError):
-    """Requested degree is incompatible with the grid size."""
+    """A parameter, degree or grid size lies outside the domain of an
+    operation (e.g. alpha <= -1, alpha != beta, n > N)."""
 
 
 class ThresholdError(HahnLsqError, ValueError):

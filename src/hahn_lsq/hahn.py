@@ -6,6 +6,7 @@ from the recurrence coefficients, all in floats.
 
 import functools
 import math
+import operator
 import os
 import sys
 import warnings
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegreeError,
     InstabilityError,
     NumericalRangeWarning,
     ParameterError,
@@ -41,7 +41,13 @@ class HahnParams:
             raise ParameterError(
                 f"Hahn parameters require alpha, beta > -1, got alpha={self.alpha}, beta={self.beta}"
             )
-        if self.N < 1 or self.N != int(self.N):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ParameterError(f"Hahn parameters must be finite, got {self.alpha}, {self.beta}")
+        try:
+            N = operator.index(self.N)
+        except TypeError:
+            N = 0
+        if N < 1 or isinstance(self.N, bool):
             raise ParameterError(f"grid size N must be a positive integer, got {self.N!r}")
 
     @property
@@ -51,7 +57,7 @@ class HahnParams:
 
 def _check_degree(n, N, what="degree"):
     if n < 0 or n > N:
-        raise DegreeError(f"{what} must satisfy 0 <= n <= N={N}, got {n}")
+        raise ParameterError(f"{what} must satisfy 0 <= n <= N={N}, got {n}")
 
 
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
@@ -85,9 +91,8 @@ def _log_binomials(a, N):
 
 @dataclass(frozen=True)
 class DiscreteWeight:
-    """The weight vector omega(0..N), and its logs, attached to its parameters."""
+    """The weight vector omega(0..N), and its logs."""
 
-    params: HahnParams
     values: np.ndarray
     log_values: np.ndarray
 
@@ -103,7 +108,7 @@ class DiscreteWeight:
             vals = np.exp(logs)
         vals.flags.writeable = False
         logs.flags.writeable = False
-        return cls(params, vals, logs)
+        return cls(vals, logs)
 
     def scaled(self):
         """omega / max omega, which never overflows."""

@@ -6,7 +6,7 @@ The discrete constant D_{n,N} is C_n times a grid factor
 
 import math
 
-from .errors import DomainError, InstabilityError, ParameterError, require_normal
+from .errors import InstabilityError, ParameterError, require_normal
 
 _LN2 = math.log(2.0)
 
@@ -26,7 +26,7 @@ def continuous_constant(n, alpha):
     if alpha < -0.5:
         raise ParameterError(f"constant defined for alpha >= -1/2, got {alpha}")
     if n < 0:
-        raise DomainError(f"degree must be >= 0, got {n}")
+        raise ParameterError(f"degree must be >= 0, got {n}")
     try:
         logs = (
             (n + 1) * _LN2,

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import bounds, hahn
-from .errors import DomainError, InstabilityError, MissingDerivativeBoundError, ParameterError
+from .errors import InstabilityError, MissingDerivativeBoundError, ParameterError
 
 _LN2 = math.log(2.0)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -289,9 +289,8 @@ def extremal_function(n, params):
     # which checks D against the recurrence.  lead_x Q_{n+1} is
     # (-1)^{n+1} (a+b+2) / ((a+1) N prod_{k=1..n} A_k), which is 2/N over
     # the product when a = b, leaving (N/2)^n; the check is taken in logs.
-    a, b = params.alpha, params.beta
     logs = [math.log(abs(front)), math.lgamma(n + 2.0), n * math.log(N / 2.0)]
-    logs += [-math.log(A) for A, _ in hahn._recurrence_coefficients(n + 1, a, b, float(N))]
+    logs += [-math.log(A) for A, _ in hahn._recurrence_coefficients(n + 1, alpha, alpha, float(N))]
     deviation = math.expm1(math.fsum(logs))
     if abs(deviation) > 1e-10:
         raise InstabilityError(
@@ -324,7 +323,7 @@ def class_K_defect(f, n, alpha):
     if alpha < -0.5:
         raise ParameterError(f"defect defined for alpha >= -1/2, got {alpha}")
     if n < 0:
-        raise DomainError(f"order must be >= 0, got {n}")
+        raise ParameterError(f"order must be >= 0, got {n}")
     if f.derivative_sup is None:
         raise MissingDerivativeBoundError(f"{f.name} carries no derivative bounds")
     value = float(f.derivative_sup(n))

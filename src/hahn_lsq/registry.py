@@ -26,6 +26,8 @@ def polynomial_function(coefficients, name=None):
     coeffs = [float(c) for c in coefficients]
     if not coeffs:
         raise ParameterError("polynomial needs at least one coefficient")
+    if not all(map(math.isfinite, coeffs)):
+        raise ParameterError(f"polynomial coefficients must be finite, got {coeffs}")
     poly = np.polynomial.Polynomial(coeffs)
     if name is None:
         name = "poly:" + ",".join(repr(c) for c in coeffs)

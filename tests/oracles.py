@@ -13,7 +13,7 @@ criteria that only tests call, so they live here and not in the package:
 `endpoint_max_check` (criterion 09) steps the package's recurrence
 `hahn._hahn_top`, so the criterion covers it; `inner_product` (01) sums
 on the package's weight vector; `stirling_sandwich_logs` and
-`gamma_ratio_residual` (05, 06) raise the package's DomainError.
+`gamma_ratio_residual` (05, 06) raise the package's ParameterError.
 """
 
 import math
@@ -24,7 +24,7 @@ import numpy as np
 
 from hahn_lsq import hahn
 from hahn_lsq.bounds import degree_threshold
-from hahn_lsq.errors import DomainError, ThresholdError
+from hahn_lsq.errors import ParameterError, ThresholdError
 
 _LN2 = math.log(2.0)
 
@@ -356,7 +356,7 @@ def stirling_sandwich_logs(n):
     the sandwich of the alpha = 0 constant C_n(0) = v_{n+1}.
     """
     if n < 1:
-        raise DomainError(f"stirling_sandwich requires n >= 1, got {n!r}")
+        raise ParameterError(f"stirling_sandwich requires n >= 1, got {n!r}")
     log_fact = math.lgamma(n + 1.0)
     log_value = n * _LN2 + log_fact - math.lgamma(2.0 * n + 1.0)
     log_front = 0.5 * math.log(math.pi * n) - n * _LN2 - log_fact
@@ -372,8 +372,8 @@ def gamma_ratio_residual(a, b, N):
     callers confirm this by checking residual * N^2 stays bounded.
     """
     if a <= 0 or b <= 0:
-        raise DomainError(f"gamma_ratio_residual requires a, b > 0, got a={a!r}, b={b!r}")
+        raise ParameterError(f"gamma_ratio_residual requires a, b > 0, got a={a!r}, b={b!r}")
     if N < 1:
-        raise DomainError(f"gamma_ratio_residual requires N >= 1, got {N!r}")
+        raise ParameterError(f"gamma_ratio_residual requires N >= 1, got {N!r}")
     ratio = math.exp((b - a) * math.log(N) + math.lgamma(N + float(a)) - math.lgamma(N + float(b)))
     return ratio - 1.0 - (a - b) * (a + b - 1.0) / (2.0 * N)

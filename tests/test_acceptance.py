@@ -180,16 +180,22 @@ def test_criterion_08_limit_to_jacobi():
                 for x in (-1.0, -0.5, 0.0, 0.5, 1.0):
                     # zeroprec: at a zero of P_n mpmath raises without it
                     target = float(mpmath.jacobi(n, alpha, alpha, x, zeroprec=200))
-                    gaps = []
+                    # the exact row, and the package's float row at the same point
+                    exact_gaps, package_gaps = [], []
                     for N in (100, 1000, 10000):
-                        exact = oracles.frac_hahn(n, N * (1 + x) / 2, alpha, alpha, N)
-                        gaps.append(abs(front * float(exact) - target))
-                    for wide, fine in zip(gaps, gaps[1:]):
-                        if wide > noise:
-                            assert fine < wide
-                        else:
-                            # identically-zero gaps sit at rounding noise
-                            assert fine <= noise
+                        point = N * (1 + x) / 2
+                        exact = oracles.frac_hahn(n, point, alpha, alpha, N)
+                        exact_gaps.append(abs(front * float(exact) - target))
+                        row = hahn.hahn_table(n, [point], hahn.HahnParams(alpha, alpha, N))[n]
+                        assert abs(float(row[0]) - float(exact)) <= noise
+                        package_gaps.append(abs(front * float(row[0]) - target))
+                    for gaps in (exact_gaps, package_gaps):
+                        for wide, fine in zip(gaps, gaps[1:]):
+                            if wide > noise:
+                                assert fine < wide
+                            else:
+                                # identically-zero gaps sit at rounding noise
+                                assert fine <= noise
 
 
 def test_criterion_09_endpoint_maximum():

@@ -105,7 +105,7 @@ class TestSimplifiedConstant:
         assert bounds.simplified_constant(20, 1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_degree_zero_rejected(self):
-        with pytest.raises(errors.DomainError):
+        with pytest.raises(errors.ParameterError, match="simplified constant needs n >= 1"):
             bounds.simplified_constant(0, 0.0)
 
     def test_underflow_raises(self):
@@ -156,7 +156,7 @@ class TestRatio:
                 )
 
     def test_requires_enough_nodes(self):
-        with pytest.raises(errors.DegreeError):
+        with pytest.raises(errors.ParameterError, match="grid factor needs n\\+1 <= N"):
             bounds.ratio_discrete_continuous(4, 4)
 
 

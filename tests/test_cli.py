@@ -87,6 +87,11 @@ class TestRegistry:
         assert f.derivative_sup(1) == pytest.approx(2 + 2 * 0.5, rel=1e-15)
         assert f.derivative_sup(3) == 0.0
 
+    @pytest.mark.parametrize("coefficients", [[1.0, math.inf], [math.nan], [-math.inf, 0.0]])
+    def test_polynomial_refuses_a_non_finite_coefficient(self, coefficients):
+        with pytest.raises(errors.ParameterError, match="coefficients must be finite"):
+            registry.polynomial_function(coefficients)
+
     def test_polynomial_certificate_is_an_upper_bound(self):
         f = registry.polynomial_function([1.0, 2.0, 3.0])
         ts = np.linspace(-1, 1, 2001)
@@ -257,11 +262,19 @@ class TestExitCodes:
             # alpha = beta is checked before the missing --function
             (["convergence", "--alpha", "0", "--beta", "1", "--n", "2"], 2,
              "configuration error: convergence requires alpha = beta, got alpha=0.0, beta=1.0"),
+            # the input is at fault, as with --alpha nan, not the arithmetic
+            (["fit", "--function", "poly:nan", "--nodes", "10", "--n", "2"], 2,
+             "configuration error: polynomial coefficients must be finite, got [nan]"),
+            (["fit", "--function", "poly:1,inf", "--nodes", "10", "--n", "2"], 2,
+             "configuration error: polynomial coefficients must be finite, got [1.0, inf]"),
+            (["fit", "--function", "poly:1e309", "--nodes", "10", "--n", "2"], 2,
+             "configuration error: polynomial coefficients must be finite, got [inf]"),
         ],
         ids=["infinite-convergence-cells", "infinite-fit-bound", "overflowing-defect",
              "overflowing-derivative-bound", "bounds-beta", "bounds-function",
              "sharpness-function", "compare-function", "basis-function", "basis-nodes",
-             "basis-n", "fit-nodes", "convergence-beta-before-function"],
+             "basis-n", "fit-nodes", "convergence-beta-before-function", "poly-nan",
+             "poly-inf", "poly-overflowing-literal"],
     )
     def test_unusable_input_exits_with_one_line_and_no_table(
         self, args, status, message, fmt, capsys

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -22,6 +23,25 @@ def test_params_validation():
     p = hahn.HahnParams(0.5, 0.5, 3)
     assert p.symmetric
     assert not hahn.HahnParams(0.0, 1.0, 3).symmetric
+    # any integer type that indexes, not only int
+    assert hahn.HahnParams(0.0, 0.0, np.int64(3)).N == 3
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,N,message",
+    [
+        # a float N would reach the symmetric fold as a slice index
+        (0.0, 0.0, 10.0, "grid size N must be a positive integer, got 10.0"),
+        (0.0, 0.0, math.inf, "grid size N must be a positive integer, got inf"),
+        (0.0, 0.0, math.nan, "grid size N must be a positive integer, got nan"),
+        (0.0, 0.0, True, "grid size N must be a positive integer, got True"),
+        (math.inf, math.inf, 10, "Hahn parameters must be finite, got inf, inf"),
+        (0.0, math.inf, 10, "Hahn parameters must be finite, got 0.0, inf"),
+    ],
+)
+def test_params_refuse_a_non_integer_grid_or_an_infinite_exponent(alpha, beta, N, message):
+    with pytest.raises(errors.ParameterError, match=f"^{re.escape(message)}$"):
+        hahn.HahnParams(alpha, beta, N)
 
 
 def weight_values(alpha, beta, N):
@@ -116,7 +136,7 @@ class TestClosedForms:
                 far *= -(Fraction(beta) + 1 + n) / (Fraction(alpha) + 1 + n)
 
     def test_degree_above_grid_rejected(self):
-        with pytest.raises(errors.DegreeError):
+        with pytest.raises(errors.ParameterError, match="degree must satisfy 0 <= n <= N=4"):
             hahn.hahn_table(5, [1.0], hahn.HahnParams(0.0, 0.0, 4))
 
     def test_range_warning(self):
@@ -224,7 +244,7 @@ class TestNorm:
             assert hahn.hahn_norm_sq(k, p) == pytest.approx(brute, rel=1e-9)
 
     def test_degree_above_grid_rejected(self):
-        with pytest.raises(errors.DegreeError):
+        with pytest.raises(errors.ParameterError, match="norm index must satisfy 0 <= n <= N=4"):
             hahn.hahn_norm_sq(5, hahn.HahnParams(0.0, 0.0, 4))
 
     def test_constant_norm_on_a_large_grid(self):

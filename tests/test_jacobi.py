@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -92,5 +93,21 @@ class TestContinuousConstant:
     def test_parameter_domain(self):
         with pytest.raises(errors.ParameterError):
             jacobi.continuous_constant(2, -0.6)
-        with pytest.raises(errors.DomainError):
+        with pytest.raises(errors.ParameterError, match="degree must be >= 0"):
             jacobi.continuous_constant(-1, 0.0)
+
+
+class TestLogGamma:
+    # the bound constants call the platform lgamma directly; their
+    # rounding bound assumes it is correct to a few ulp on [1e-3, 1e6]
+    def test_half_integer_value(self):
+        assert math.lgamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-15)
+
+    @pytest.mark.parametrize("x", [1e-3, 0.1, 0.5, 1.5, 2.75, 10.25, 170.5, 1e4, 1e6])
+    def test_within_a_few_ulp_of_multi_digit_log_gamma(self, x):
+        with mpmath.workdps(40):
+            exact = mpmath.loggamma(x)
+            # relative where |ln Gamma| >= 1, absolute near its zeros at 1 and 2
+            assert abs(math.lgamma(x) - exact) <= 4 * sys.float_info.epsilon * max(
+                1, abs(exact)
+            )

@@ -32,7 +32,7 @@ def test_grid_points_endpoints_exact_for_awkward_sizes():
 class TestApproximant:
     def test_degree_out_of_range(self):
         p = hahn.HahnParams(0.0, 0.0, 4)
-        with pytest.raises(errors.DegreeError):
+        with pytest.raises(errors.ParameterError, match="approximant degree must satisfy"):
             lsq.Approximant(p, 5, (0.0,) * 6)
 
     def test_coefficient_count_mismatch(self):
@@ -92,7 +92,7 @@ class TestFitHahn:
 
     def test_degree_above_grid(self):
         p = hahn.HahnParams(0.0, 0.0, 3)
-        with pytest.raises(errors.DegreeError):
+        with pytest.raises(errors.ParameterError, match="degree must satisfy 0 <= n <= N=3"):
             lsq.fit_hahn(registry.resolve("const1"), 4, p)
 
     def test_matches_multi_digit_fit_at_the_criterion_07_cell(self):
@@ -324,7 +324,7 @@ class TestClassKDefect:
         f = registry.resolve("exp")
         with pytest.raises(errors.ParameterError):
             lsq.class_K_defect(f, 3, -0.6)
-        with pytest.raises(errors.DomainError):
+        with pytest.raises(errors.ParameterError, match="order must be >= 0"):
             lsq.class_K_defect(f, -1, 0.0)
 
 

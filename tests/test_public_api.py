@@ -17,8 +17,11 @@ PACKAGE = pathlib.Path(hahn_lsq.__file__).parent
 
 # names the package no longer exports: most only tests called, and the
 # four that criteria 01, 05, 06 and 09 check are in tests/oracles.py;
-# LengthMismatchError nothing raised, and log_gamma is math.lgamma
+# LengthMismatchError nothing raised, log_gamma is math.lgamma, and
+# DegreeError and DomainError are ParameterError, with its exit code
 REMOVED = (
+    "DegreeError",
+    "DomainError",
     "JacobiParams",
     "LengthMismatchError",
     "alpha0_constant",
@@ -50,9 +53,7 @@ def test_every_exported_name_resolves():
 # the exit code and stderr prefix `hahn_lsq.cli.main` reports for each error
 EXIT_CODES = {
     "HahnLsqError": (2, "configuration error", ()),
-    "DomainError": (2, "configuration error", (ValueError,)),
     "ParameterError": (2, "configuration error", (ValueError,)),
-    "DegreeError": (2, "configuration error", (ValueError,)),
     "MissingDerivativeBoundError": (2, "configuration error", (LookupError,)),
     "ThresholdError": (3, "threshold violation", (ValueError,)),
     "InstabilityError": (4, "numerical instability", (RuntimeError,)),
