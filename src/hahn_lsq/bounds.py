@@ -19,15 +19,23 @@ _LN2 = math.log(2.0)
 
 
 def degree_threshold(alpha, N):
-    """n(alpha, N) = 1/2 - alpha + (1/2) sqrt((2 alpha+1)(2 alpha+2N+1)).
-
-    Degrees with n+1 <= n(alpha, N) admit the sharp error constant.
-    """
+    """n(alpha, N) = 1/2 - alpha + (1/2) sqrt((2 alpha+1)(2 alpha+2N+1)),
+    as 1 + N/(sqrt(1 + 2N/(2 alpha+1)) + 1), which does not cancel at
+    large alpha.  Degrees with n+1 <= n(alpha, N) (decided exactly by
+    _c3_terms) admit the sharp error constant."""
     if alpha <= -0.5:
         raise ParameterError(f"threshold defined for alpha > -1/2, got {alpha}")
     if N < 1:
         raise ParameterError(f"grid size must be >= 1, got {N}")
-    return 0.5 - alpha + 0.5 * math.sqrt((2.0 * alpha + 1.0) * (2.0 * alpha + 2.0 * N + 1.0))
+    return 1.0 + N / (math.sqrt(1.0 + 2.0 * N / (2.0 * alpha + 1.0)) + 1.0)
+
+
+def _c3_terms(n, alpha):
+    """Integers num = n (2nq + 4p + 2q) and den = 2p + q, alpha = p/q
+    exactly, such that n+1 <= n(alpha, N) exactly when N den >= num, so
+    no rounding tips the degree hypothesis; c3 is ceil(num/den)."""
+    p, q = alpha.as_integer_ratio()
+    return n * (2 * n * q + 4 * p + 2 * q), 2 * p + q
 
 
 def ratio_discrete_continuous(n, N):
@@ -50,39 +58,31 @@ def ratio_discrete_continuous(n, N):
 def constants_row(n, N, alpha):
     """(threshold, D, C, ratio) of one table cell: n(alpha, N), the sharp
     constant D_{n,N}, the continuous constant C_n(alpha) and the grid
-    factor.  ratio is None when n+1 > N, and D is None unless the ratio
-    exists and the degree hypothesis n+1 <= n(alpha, N) holds; only a
+    factor.  ratio is None when n+1 > N, and D is None unless the degree
+    hypothesis n+1 <= n(alpha, N), exact by _c3_terms, holds; only a
     value outside the domain or below the normal range raises.
     """
     threshold = degree_threshold(alpha, N)
     C = continuous_constant(n, alpha)
     ratio = ratio_discrete_continuous(n, N) if n + 1 <= N else None
-    D = None
-    if ratio is not None and n + 1 <= threshold:
-        D = require_normal(C * ratio, "D_{},{} at alpha={!r}", n, N, alpha)
-    return threshold, D, C, ratio
+    num, den = _c3_terms(n, alpha)
+    if N * den < num:
+        return threshold, None, C, ratio
+    return threshold, require_normal(C * ratio, "D_{},{} at alpha={!r}", n, N, alpha), C, ratio
 
 
 def worst_case_constant(n, N, alpha):
-    """Sharp constant D_{n,N} = C_n(alpha) * prod_{i=0}^{n}(1 - i/N): the
-    continuous constant times the grid factor.  Returned only under the
-    degree hypothesis n+1 <= n(alpha, N); outside it the constant is not
-    asserted sharp and a ThresholdError is raised.  A D below the smallest
-    normal double raises an InstabilityError.
-    """
-    if alpha <= -0.5:
-        raise ParameterError(f"constant defined for alpha > -1/2, got {alpha}")
-    if n < 0:
-        raise ParameterError(f"degree must be >= 0, got {n}")
-    threshold = degree_threshold(alpha, N)
-    if n + 1 > threshold:
+    """Sharp constant D_{n,N} = C_n(alpha) * prod_{i=0}^{n}(1 - i/N), as
+    constants_row gives it.  Outside the degree hypothesis it is not
+    asserted sharp and a ThresholdError is raised; a D below the smallest
+    normal double raises an InstabilityError."""
+    threshold, D, _, _ = constants_row(n, N, alpha)
+    if D is None:
         raise ThresholdError(
             f"degree hypothesis violated: n+1={n + 1} > n(alpha,N)={threshold:.6g} "
-            f"for alpha={alpha}, N={N}"
+            f"for alpha={alpha}, N={N} < c3={min_nodes(n, alpha)[0]}"
         )
-    if n + 1 > N:
-        raise ParameterError(f"need n+1 <= N, got n={n}, N={N}")
-    return constants_row(n, N, alpha)[1]
+    return D
 
 
 def simplified_constant(n, alpha):
@@ -115,18 +115,16 @@ def min_nodes(n, alpha):
         c3 = ceil((2n^2 + (4 alpha + 2) n)/(2 alpha + 1))   (alpha > -1/2)
         c4 = 2 n (n + 1)                                    (alpha >= 0)
 
-    c3 is an integer ceiling division on the binary value of alpha:
-    with alpha = p/q exactly, c3 = ceil((2n^2 q + (4p + 2q) n)/(2p + q)),
-    so float division cannot tip the ceiling across an integer boundary.
-    c4 is returned for any admissible alpha but its guarantee is only
-    asserted for alpha >= 0.
+    c3 is _c3_terms' ceiling in integers, so N >= c3 is the degree
+    hypothesis itself.  c4 is returned for any admissible alpha but its
+    guarantee is only asserted for alpha >= 0.
     """
     if alpha <= -0.5:
         raise ParameterError(f"node thresholds defined for alpha > -1/2, got {alpha}")
     if n < 0:
         raise ParameterError(f"degree must be >= 0, got {n}")
-    p, q = alpha.as_integer_ratio()
-    c3 = -(-(2 * n * n * q + (4 * p + 2 * q) * n) // (2 * p + q))
+    num, den = _c3_terms(n, alpha)
+    c3 = -(-num // den)
     c4 = 2 * n * (n + 1)
     return max(c3, 1), max(c4, 1)
 
@@ -171,7 +169,7 @@ def bound_report(n, N, alpha):
         N=N,
         alpha=alpha,
         threshold=threshold,
-        hypothesis_ok=n + 1 <= threshold,
+        hypothesis_ok=D is not None,
         D=D,
         C=C,
         ratio=ratio,

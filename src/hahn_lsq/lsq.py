@@ -15,7 +15,6 @@ from . import bounds, hahn
 from .errors import InstabilityError, MissingDerivativeBoundError, ParameterError
 
 _LN2 = math.log(2.0)
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -219,49 +218,51 @@ def _clenshaw(coefficients, t):
     return coefficients[0] + t * b1 - b2
 
 
-def _golden_max(g, lo, hi):
-    tol = 1e-10 * max(1.0, abs(lo), abs(hi))
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    gc, gd = g(c), g(d)
-    while hi - lo > tol:
-        if gc >= gd:
-            hi, d, gd = d, c, gc
-            c = hi - _INVPHI * (hi - lo)
-            gc = g(c)
-        else:
-            lo, c, gc = c, d, gd
-            d = lo + _INVPHI * (hi - lo)
-            gd = g(d)
-    mid = 0.5 * (lo + hi)
-    return mid, g(mid)
+def _golden_max(g, t, v):
+    """Successive parabolic interpolation (Brent 1973, ch. 5) from the
+    ascending points t with values v: each of at most three steps takes
+    g at the vertex of the parabola through three points, then keeps
+    the higher middle point and its two neighbours.  It stops when the
+    vertex leaves the bracket or repeats the middle.  Returns the
+    highest (u, g(u)) found, or (t[1], -inf) if no step ran."""
+    points, found = list(zip(t, v)), [(t[1], -math.inf)]
+    for _ in range(3):
+        (a, fa), (b, fb), (c, fc) = points
+        p, q = (b - a) * (fb - fc), (b - c) * (fb - fa)
+        u = b - 0.5 * ((b - a) * p - (b - c) * q) / (p - q) if p != q else b
+        if not a < u < c or u == b:
+            break
+        found.append((u, g(u)))
+        points = sorted(points + found[-1:])
+        k = 2 if points[2][1] > points[1][1] else 1
+        points = points[k - 1 : k + 2]
+    return max(found, key=lambda point: point[1])
 
 
 def sup_error(f, a, bound=None):
     """Measured sup of |f - a| over [-1,1].
 
-    Dense composite grid first, then a golden-section polish of the
-    bracket around the grid argmax down to relative width 1e-10.  Ties
-    resolve to the leftmost grid point.  Both sum the approximant from
-    the same Chebyshev coefficients: the grid by _scan, the polish by
-    Clenshaw's recurrence.  When `bound` is given the report also
-    carries the ratio sup_error/bound.
+    Dense composite grid first, then at most three parabolic steps from
+    the grid argmax and its two neighbours (the first or last three
+    candidates at an end point).  The grid maximum, ties to the leftmost,
+    stands unless a step finds a larger error.  The grid sums the
+    Chebyshev coefficients by _scan, the steps by Clenshaw's recurrence.
+    When `bound` is given the report also carries sup_error/bound.
     """
     cand = _candidates()
     coefficients = _chebyshev_coefficients(a)
     errs = np.abs(_sample(f, cand) - _scan(coefficients))
     i = int(np.argmax(errs))
-    best_t, best_v = float(cand[i]), float(errs[i])
-    lo = float(cand[i - 1]) if i > 0 else float(cand[0])
-    hi = float(cand[i + 1]) if i + 1 < cand.size else float(cand[-1])
+    j = min(max(i, 1), cand.size - 2)
     series = coefficients.tolist()
 
     def local_error(t):
         return abs(float(_sample(f, t)) - _clenshaw(series, t))
 
-    refined_t, refined_v = _golden_max(local_error, lo, hi)
-    if refined_v > best_v:
-        best_t, best_v = refined_t, refined_v
+    bracket = slice(j - 1, j + 2)
+    best_t, best_v = _golden_max(local_error, cand[bracket].tolist(), errs[bracket].tolist())
+    if not best_v > errs[i]:
+        best_t, best_v = float(cand[i]), float(errs[i])
     ratio = None
     if bound is not None:
         ratio = best_v / bound if bound > 0 else math.inf

@@ -246,6 +246,13 @@ def frac_min_nodes_c3(n, alpha):
     return math.ceil((2 * n * n + (4 * a + 2) * n) / (2 * a + 1))
 
 
+def frac_degree_hypothesis(n, N, alpha):
+    """n+1 <= n(alpha, N) on the exact binary value of alpha, squared out
+    of the root: (2n + 2 alpha + 1)^2 <= (2 alpha + 1)(2 alpha + 2N + 1)."""
+    a = Fraction(alpha)
+    return (2 * n + 2 * a + 1) ** 2 <= (2 * a + 1) * (2 * a + 2 * N + 1)
+
+
 def gauss_legendre_inner(f, g, degree_bound):
     """integral_{-1}^{1} f g dx, exact for polynomial integrands.
 

@@ -2,6 +2,7 @@ import math
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -31,6 +32,21 @@ class TestDegreeThreshold:
             assert cur > prev
             prev = cur
 
+    @pytest.mark.parametrize("alpha", [10.0**k for k in range(15, 301, 15)])
+    def test_no_cancellation_at_large_alpha(self, alpha):
+        # n(alpha, 10) -> 6 as alpha grows; the sqrt-difference form gave
+        # 4.0 at 1e16, 0.0 at 1e20 and inf past 1e154
+        assert bounds.degree_threshold(alpha, 10) == pytest.approx(6.0, rel=1e-14)
+
+    @pytest.mark.parametrize("alpha", [-0.4, -0.25, 0.0, 0.1, 1 / 3, 0.5, 2.0, 60.0, 1e4, 1e8])
+    def test_matches_fifty_digits(self, alpha):
+        with mpmath.workdps(50):
+            a = mpmath.mpf(alpha)
+            for n in range(0, 141, 7):
+                N = bounds.min_nodes(n, alpha)[0]
+                exact = 0.5 - a + mpmath.sqrt((2 * a + 1) * (2 * a + 2 * N + 1)) / 2
+                assert bounds.degree_threshold(alpha, N) == pytest.approx(float(exact), rel=1e-15)
+
     def test_parameter_domain(self):
         with pytest.raises(errors.ParameterError):
             bounds.degree_threshold(-0.5, 10)
@@ -50,6 +66,24 @@ class TestHypothesis:
                 assert bounds.bound_report(0, N, alpha).hypothesis_ok == (
                     1.0 <= bounds.degree_threshold(alpha, N)
                 )
+
+    @pytest.mark.parametrize("alpha", [-0.4, 0.1, 0.3, 1 / 3, 0.7, 60.0])
+    def test_exact_at_the_c3_boundary(self, alpha):
+        # the float comparison n+1 <= degree_threshold(alpha, N) erred on
+        # both sides of c3 (0.1 at n = 18 refused N = c3, 0.3 at n = 2
+        # admitted N = 9 < c3 = 10)
+        for n in range(0, 141):
+            c3 = bounds.min_nodes(n, alpha)[0]
+            for N in {max(c3 - 1, 1), c3, c3 + 1}:
+                report = bounds.bound_report(n, N, alpha)
+                assert report.hypothesis_ok == (N >= report.node_min_c3)
+                assert report.hypothesis_ok == oracles.frac_degree_hypothesis(n, N, alpha)
+                assert report.hypothesis_ok == (report.D is not None)
+                if report.hypothesis_ok:
+                    assert bounds.worst_case_constant(n, N, alpha) == report.D
+                else:
+                    with pytest.raises(errors.ThresholdError, match=f"N={N} < c3={c3}"):
+                        bounds.worst_case_constant(n, N, alpha)
 
 
 class TestWorstCaseConstant:
@@ -214,7 +248,7 @@ class TestMinNodes:
         for alpha in (0.0, 0.5, 1.0, 2.0):
             for n in range(1, 12):
                 for N in bounds.min_nodes(n, alpha):
-                    assert bounds.degree_threshold(alpha, N) >= n + 1 - 1e-12
+                    assert bounds.degree_threshold(alpha, N) >= n + 1
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(

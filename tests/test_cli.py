@@ -620,6 +620,15 @@ class TestFitCommand:
         assert float(rows["ratio"]) <= 1.0
         assert float(rows["sup_error"]) <= float(rows["bound"])
 
+    def test_huge_alpha_needs_the_cancelling_constant(self, capsys):
+        # n(1e16, 10) is 6, so degree 4 needs D, and C_4 refuses at 1e16;
+        # a cancelled threshold of 4.0 used to print an empty bound instead
+        args = ["fit", "--function", "exp", "--alpha", "1e16", "--nodes", "10", "--n", "4"]
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (4, "")
+        assert err.startswith("numerical instability: C_4 at alpha=1e+16: cancelling log terms")
+        assert len(err.splitlines()) == 1
+
 
 class TestBoundsCommand:
     def test_sweep_row_content(self, capsys):
@@ -651,6 +660,15 @@ class TestBoundsCommand:
         assert (row["D"], row["ratio"]) == ("", "")
         assert float(row["threshold"]) == bounds.degree_threshold(0.0, 2)
         assert float(row["C"]) > 0
+
+    def test_grid_below_c3_fails_the_hypothesis(self, capsys):
+        # alpha = 0.3 is a double below 3/10, so n(alpha, 9) falls just
+        # short of 3, though it prints as 3.0
+        code, out, _ = run_cli(["bounds", "--alpha", "0.3", "--nodes", "9", "--n", "2"], capsys)
+        assert code == 0
+        (row,) = csv_rows(out)
+        assert (row["threshold"], row["node_min_c3"]) == ("3.0", "10")
+        assert (row["hypothesis_ok"], row["D"]) == ("0", "")
 
 
 class TestConstantTables:
@@ -733,6 +751,15 @@ class TestSharpnessCommand:
         code, out, _ = run_cli(args, capsys)
         assert code == 0
         assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+    def test_c3_rule_grid_admits_the_degree(self, capsys):
+        code, out, err = run_cli(
+            ["sharpness", "--alpha", "0.1", "--node-rule", "c3", "--n", "18"], capsys
+        )
+        assert (code, err) == (0, "")
+        (row,) = csv_rows(out)
+        assert int(row["N"]) == bounds.min_nodes(18, 0.1)[0] == 576
+        assert float(row["rel_gap"]) <= 1e-8
 
     def test_degree_past_the_grid_is_a_threshold_violation(self, capsys):
         code, out, err = run_cli(["sharpness", "--alpha", "0", "--n", "5", "--nodes", "3"], capsys)

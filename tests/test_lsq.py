@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -204,6 +205,73 @@ class TestSupError:
         a = lsq.Approximant(p, 0, (0.5,))
         report = lsq.sup_error(f, a, bound=0.0)
         assert report.ratio == math.inf
+
+
+# oscillatory targets, whose error peaks fall between candidates; few
+# nodes per degree (N = n+1, 3n+2) make the peaks large and narrow, and
+# alpha != beta breaks the mirror symmetry of the error
+_POLISH_CELLS = [
+    (name, alpha, beta, n, N)
+    for name in ("runge", "sin10")
+    for alpha, beta in ((0.0, 0.0), (0.5, 0.5), (3.0, 0.0), (0.5, 2.0))
+    for n in (4, 11, 23, 40)
+    for N in (n + 1, 3 * n + 2)
+]
+# exp at n = 4 peaks at the end point t = 1
+_EXP_CELL = ("exp", 0.0, 0.0, 4, 40)
+
+
+def _cell_id(cell):
+    return "-".join(map(str, cell))
+
+
+class TestSupErrorPolish:
+    """The polish of sup_error: at most three parabolic steps from the
+    grid argmax and its neighbours."""
+
+    @staticmethod
+    def _fit(name, alpha, beta, n, N):
+        f = registry.resolve(name)
+        return f, lsq.fit_hahn(f, n, hahn.HahnParams(alpha, beta, N))
+
+    @pytest.mark.parametrize("cell", _POLISH_CELLS[::5] + [_EXP_CELL], ids=_cell_id)
+    def test_evaluates_the_target_at_most_three_times(self, cell):
+        f, a = self._fit(*cell)
+        scalar_calls = []
+
+        def evaluator(t):
+            if np.ndim(t) == 0:
+                scalar_calls.append(t)
+            return f.evaluator(t)
+
+        lsq.sup_error(dataclasses.replace(f, evaluator=evaluator), a)
+        assert len(scalar_calls) <= 3
+
+    @pytest.mark.parametrize("cell", _POLISH_CELLS + [_EXP_CELL], ids=_cell_id)
+    def test_never_below_the_grid_maximum(self, cell):
+        f, a = self._fit(*cell)
+        cand = lsq._candidates()
+        errs = np.abs(f.evaluator(cand) - lsq._scan(lsq._chebyshev_coefficients(a)))
+        i = int(np.argmax(errs))
+        report = lsq.sup_error(f, a)
+        assert report.sup_error >= errs[i]
+        if report.sup_error == errs[i]:
+            assert report.argmax == cand[i]
+
+    @pytest.mark.parametrize("cell", _POLISH_CELLS, ids=_cell_id)
+    def test_reaches_the_dense_bracket_maximum(self, cell):
+        # the candidates and 4001 points across the grid bracket of the
+        # argmax, the approximant summed by numpy's chebval rather than the
+        # package; the steps must come within 1e-13 max|f| of their maximum
+        f, a = self._fit(*cell)
+        cand, coefficients = lsq._candidates(), lsq._chebyshev_coefficients(a)
+        chebval = np.polynomial.chebyshev.chebval
+        errs = np.abs(f.evaluator(cand) - chebval(cand, coefficients))
+        i = int(np.argmax(errs))
+        ts = np.linspace(cand[max(i - 1, 0)], cand[min(i + 1, cand.size - 1)], 4001)
+        reference = max(errs.max(), np.abs(f.evaluator(ts) - chebval(ts, coefficients)).max())
+        scale = np.abs(f.evaluator(cand)).max()
+        assert lsq.sup_error(f, a).sup_error >= reference - 1e-13 * scale
 
 
 class TestExtremalFunction:

@@ -3,8 +3,8 @@
 `hahn._hahn_rows` is one kernel for a float x and for an array: a float
 takes the same operations in the same order in plain floats, so a
 scalar t of the witness gives the bits of a one-point array.  The
-golden-section polish in `sup_error` evaluates the witness at floats,
-and relies on those bits to visit the points the array scan implies.
+parabolic steps in `sup_error` evaluate the witness at floats, and rely
+on those bits to agree with the array scan they start from.
 """
 
 import struct
