@@ -9,6 +9,7 @@ up to 10^6 are safe.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -66,23 +67,21 @@ def constants_row(n, N, alpha):
     C = continuous_constant(n, alpha)
     ratio = ratio_discrete_continuous(n, N) if n + 1 <= N else None
     num, den = _c3_terms(n, alpha)
-    if N * den < num:
+    if operator.index(N) * den < num:
         return threshold, None, C, ratio
     return threshold, require_normal(C * ratio, "D_{},{} at alpha={!r}", n, N, alpha), C, ratio
 
 
 def worst_case_constant(n, N, alpha):
     """Sharp constant D_{n,N} = C_n(alpha) * prod_{i=0}^{n}(1 - i/N), as
-    constants_row gives it.  Outside the degree hypothesis it is not
-    asserted sharp and a ThresholdError is raised; a D below the smallest
-    normal double raises an InstabilityError."""
-    threshold, D, _, _ = constants_row(n, N, alpha)
-    if D is None:
-        raise ThresholdError(
-            f"degree hypothesis violated: n+1={n + 1} > n(alpha,N)={threshold:.6g} "
-            f"for alpha={alpha}, N={N} < c3={min_nodes(n, alpha)[0]}"
-        )
-    return D
+    constants_row gives it.  A grid below c3 fails the degree hypothesis,
+    where the constant is not asserted sharp: a ThresholdError is raised
+    before C_n is computed.  A D below the smallest normal double raises
+    an InstabilityError."""
+    c3 = min_nodes(n, alpha)[0]
+    if 1 <= N < c3:
+        raise ThresholdError(f"degree hypothesis violated: n+1={n + 1} at alpha={alpha}, N={N} < c3={c3}")
+    return constants_row(n, N, alpha)[1]
 
 
 def simplified_constant(n, alpha):

@@ -3,6 +3,7 @@ import sys
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -117,6 +118,23 @@ class TestWorstCaseConstant:
         # n(alpha, N) < N + 1 always, so n + 1 > N also violates the hypothesis
         with pytest.raises(errors.ThresholdError):
             bounds.worst_case_constant(5, 3, 0.0)
+
+    def test_threshold_is_checked_before_the_continuous_constant(self):
+        # C_8 cancels at alpha = 1e5, but N = 10 < c3 = 17 already fails
+        # the hypothesis, so the caller sees the threshold, not C_8
+        with pytest.raises(errors.InstabilityError):
+            jacobi.continuous_constant(8, 1e5)
+        with pytest.raises(errors.ThresholdError, match="N=10 < c3=17"):
+            bounds.worst_case_constant(8, 10, 1e5)
+
+    def test_numpy_grid_size(self):
+        # N den exceeds int64 at alpha = 0.1 (den = 2p + q is about 4.3e16)
+        exact = bounds.worst_case_constant(18, 576, 0.1)
+        assert bounds.worst_case_constant(18, np.int64(576), 0.1) == exact
+        assert bounds.constants_row(18, np.int64(576), 0.1)[1] == exact
+        assert bounds.constants_row(18, np.int64(575), 0.1)[1] is None
+        with pytest.raises(errors.ThresholdError, match="N=575 < c3=576"):
+            bounds.worst_case_constant(18, np.int64(575), 0.1)
 
     def test_underflow_raises(self):
         # C_151(3) = 3.0e-308 is normal; on the c3 grid the grid factor

@@ -629,6 +629,16 @@ class TestFitCommand:
         assert err.startswith("numerical instability: C_4 at alpha=1e+16: cancelling log terms")
         assert len(err.splitlines()) == 1
 
+    def test_failed_hypothesis_leaves_the_bound_empty_before_C(self, capsys):
+        # degree 8 needs N >= c3 = 17 at alpha = 1e5, so no bound applies and
+        # C_8, which cancels there, is never asked for
+        args = ["fit", "--function", "exp", "--alpha", "1e5", "--nodes", "10", "--n", "8"]
+        code, out, err = run_cli(args, capsys)
+        assert (code, err) == (0, "")
+        rows = {r["kind"]: r["value"] for r in csv_rows(out) if r["k"] == ""}
+        assert rows["bound"] == ""
+        assert float(rows["sup_error"]) > 0
+
 
 class TestBoundsCommand:
     def test_sweep_row_content(self, capsys):
@@ -765,6 +775,13 @@ class TestSharpnessCommand:
         code, out, err = run_cli(["sharpness", "--alpha", "0", "--n", "5", "--nodes", "3"], capsys)
         assert (code, out) == (3, "")
         assert err.startswith("threshold violation: degree hypothesis violated: n+1=6 ")
+
+    def test_threshold_violation_precedes_a_cancelling_constant(self, capsys):
+        args = ["sharpness", "--alpha", "1e5", "--nodes", "10", "--n", "8"]
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("threshold violation: degree hypothesis violated: n+1=9 ")
+        assert "N=10 < c3=17" in err
 
     def test_wrong_constant_exits_unstable(self, monkeypatch, capsys):
         # the witness and the bound share D, so measured / bound cannot see
