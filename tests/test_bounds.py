@@ -160,6 +160,10 @@ class TestSimplifiedConstant:
         with pytest.raises(errors.ParameterError, match="simplified constant needs n >= 1"):
             bounds.simplified_constant(0, 0.0)
 
+    def test_alpha_domain(self):
+        with pytest.raises(errors.ParameterError, match="defined for alpha > -1/2, got -0.6"):
+            bounds.simplified_constant(3, -0.6)
+
     def test_underflow_raises(self):
         assert bounds.simplified_constant(149, 0.5) >= sys.float_info.min
         with pytest.raises(errors.InstabilityError, match="simplified constant"):
@@ -211,6 +215,10 @@ class TestRatio:
         with pytest.raises(errors.ParameterError, match="grid factor needs n\\+1 <= N"):
             bounds.ratio_discrete_continuous(4, 4)
 
+    def test_negative_degree_rejected(self):
+        with pytest.raises(errors.ParameterError, match="degree must be >= 0, got -1"):
+            bounds.ratio_discrete_continuous(-1, 5)
+
 
 class TestFactorization:
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
@@ -255,6 +263,10 @@ class TestMinNodes:
     def test_examples(self):
         assert bounds.min_nodes(3, 0.0) == (24, 24)
         assert bounds.min_nodes(3, 1.0) == (12, 24)
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(errors.ParameterError, match="degree must be >= 0, got -1"):
+            bounds.min_nodes(-1, 0.0)
 
     def test_quadratic_rule_sits_on_boundary(self):
         # the smaller rule admits degree 3 at alpha = 1/2 with no slack

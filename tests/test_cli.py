@@ -92,6 +92,10 @@ class TestRegistry:
         with pytest.raises(errors.ParameterError, match="coefficients must be finite"):
             registry.polynomial_function(coefficients)
 
+    def test_polynomial_refuses_no_coefficients(self):
+        with pytest.raises(errors.ParameterError, match="needs at least one coefficient"):
+            registry.polynomial_function([])
+
     def test_polynomial_certificate_is_an_upper_bound(self):
         f = registry.polynomial_function([1.0, 2.0, 3.0])
         ts = np.linspace(-1, 1, 2001)
@@ -211,6 +215,12 @@ class TestExitCodes:
             (["bounds", "--alpha", "nan", "--n", "2"], 2, "hahn-lsq: error: argument --alpha"),
             (["bounds", "--alpha", "inf", "--n", "2"], 2, "hahn-lsq: error: argument --alpha"),
             (["compare", "--alpha", "nan", "--n", "2"], 2, "hahn-lsq: error: argument --alpha"),
+            (["bounds", "--alpha", "abc", "--n", "2"], 2,
+             "hahn-lsq: error: argument --alpha: expected a finite number, got 'abc'"),
+            (["bounds", "--n-range", "5"], 2,
+             "hahn-lsq: error: argument --n-range: expected A..B, got '5'"),
+            (["bounds", "--n-range", "a..b"], 2,
+             "hahn-lsq: error: argument --n-range: expected integers in A..B, got 'a..b'"),
             (
                 # D_150 underflows at alpha = 0.5, so the witness has no scale;
                 # a witness scaled by zero would report sup_error 0.0
@@ -224,6 +234,9 @@ class TestExitCodes:
             "bounds-alpha-nan",
             "bounds-alpha-inf",
             "compare-alpha-nan",
+            "bounds-alpha-not-a-number",
+            "bounds-n-range-one-part",
+            "bounds-n-range-not-integers",
             "fit-witness-scale-underflow",
         ],
     )
@@ -249,6 +262,8 @@ class TestExitCodes:
              "configuration error: bounds requires alpha = beta, got alpha=0.0, beta=3.0"),
             (["bounds", "--alpha", "0", "--n", "2", "--function", "exp"], 2,
              "configuration error: bounds takes no --function, got 'exp'"),
+            (["bounds", "--alpha", "-0.6", "--n", "2"], 2,
+             "configuration error: node thresholds defined for alpha > -1/2, got -0.6"),
             (["sharpness", "--alpha", "0", "--n", "1", "--nodes", "4", "--function", "runge"], 2,
              "configuration error: sharpness takes no --function, got 'runge'"),
             (["compare", "--alpha", "0", "--n", "2", "--function", "exp"], 2,
@@ -269,12 +284,15 @@ class TestExitCodes:
              "configuration error: polynomial coefficients must be finite, got [1.0, inf]"),
             (["fit", "--function", "poly:1e309", "--nodes", "10", "--n", "2"], 2,
              "configuration error: polynomial coefficients must be finite, got [inf]"),
+            (["fit", "--function", "poly:1,x", "--nodes", "10", "--n", "2"], 2,
+             "configuration error: bad polynomial coefficient list in 'poly:1,x': "
+             "could not convert string to float: 'x'"),
         ],
         ids=["infinite-convergence-cells", "infinite-fit-bound", "overflowing-defect",
-             "overflowing-derivative-bound", "bounds-beta", "bounds-function",
+             "overflowing-derivative-bound", "bounds-beta", "bounds-function", "bounds-alpha",
              "sharpness-function", "compare-function", "basis-function", "basis-nodes",
              "basis-n", "fit-nodes", "convergence-beta-before-function", "poly-nan",
-             "poly-inf", "poly-overflowing-literal"],
+             "poly-inf", "poly-overflowing-literal", "poly-not-a-number"],
     )
     def test_unusable_input_exits_with_one_line_and_no_table(
         self, args, status, message, fmt, capsys
