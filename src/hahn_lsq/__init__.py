@@ -1,68 +1,60 @@
-"""Discrete least-squares approximation on equidistant grids via Hahn expansions."""
+"""Discrete least-squares approximation on equidistant grids via Hahn expansions.
 
-from .bounds import (
-    BoundReport,
-    bound_report,
-    degree_threshold,
-    min_nodes,
-    ratio_discrete_continuous,
-    simplified_constant,
-    worst_case_constant,
-)
-from .errors import (
-    HahnLsqError,
-    InstabilityError,
-    MissingDerivativeBoundError,
-    NumericalRangeWarning,
-    ParameterError,
-    ThresholdError,
-)
-from .hahn import DiscreteWeight, HahnParams, hahn_norm_sq, hahn_table
-from .jacobi import continuous_constant
-from .lsq import (
-    Approximant,
-    ErrorReport,
-    FunctionSpec,
-    class_K_defect,
-    evaluate,
-    extremal_function,
-    fit_hahn,
-    grid_points,
-    sup_error,
-)
-from .registry import polynomial_function, resolve, sine_function
+Each public name is imported from its module on first access (PEP 562),
+so a process loads only the modules it uses: the `bounds` and `compare`
+commands never import numpy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Approximant",
-    "BoundReport",
-    "DiscreteWeight",
-    "ErrorReport",
-    "FunctionSpec",
-    "HahnLsqError",
-    "HahnParams",
-    "InstabilityError",
-    "MissingDerivativeBoundError",
-    "NumericalRangeWarning",
-    "ParameterError",
-    "ThresholdError",
-    "bound_report",
-    "class_K_defect",
-    "continuous_constant",
-    "degree_threshold",
-    "evaluate",
-    "extremal_function",
-    "fit_hahn",
-    "grid_points",
-    "hahn_norm_sq",
-    "hahn_table",
-    "min_nodes",
-    "polynomial_function",
-    "ratio_discrete_continuous",
-    "resolve",
-    "simplified_constant",
-    "sine_function",
-    "sup_error",
-    "worst_case_constant",
-]
+# the module that defines each public name
+_HOMES = {
+    "BoundReport": "bounds",
+    "bound_report": "bounds",
+    "degree_threshold": "bounds",
+    "min_nodes": "bounds",
+    "ratio_discrete_continuous": "bounds",
+    "simplified_constant": "bounds",
+    "worst_case_constant": "bounds",
+    "HahnLsqError": "errors",
+    "InstabilityError": "errors",
+    "MissingDerivativeBoundError": "errors",
+    "NumericalRangeWarning": "errors",
+    "ParameterError": "errors",
+    "ThresholdError": "errors",
+    "DiscreteWeight": "hahn",
+    "HahnParams": "hahn",
+    "hahn_norm_sq": "hahn",
+    "hahn_table": "hahn",
+    "continuous_constant": "jacobi",
+    "Approximant": "lsq",
+    "ErrorReport": "lsq",
+    "FunctionSpec": "lsq",
+    "class_K_defect": "lsq",
+    "evaluate": "lsq",
+    "extremal_function": "lsq",
+    "fit_hahn": "lsq",
+    "grid_points": "lsq",
+    "sup_error": "lsq",
+    "polynomial_function": "registry",
+    "resolve": "registry",
+    "sine_function": "registry",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value  # later lookups find it without this call
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

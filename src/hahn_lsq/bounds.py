@@ -55,12 +55,23 @@ def constants_row(n, N, alpha):
     hypothesis N >= c3 holds, c3 from min_nodes; only a value outside
     the domain or below the normal range raises.
     """
+    return _row(n, N, alpha)[:4]
+
+
+def _row(n, N, alpha, nodes=None):
+    """constants_row's four values and min_nodes(n, alpha), from one
+    min_nodes call: the caller's nodes if given, else one made after C,
+    so that degree_threshold and continuous_constant refuse a bad cell
+    first."""
     threshold = degree_threshold(alpha, N)
     C = continuous_constant(n, alpha)
     ratio = ratio_discrete_continuous(n, N) if n + 1 <= N else None
-    if N < min_nodes(n, alpha)[0]:
-        return threshold, None, C, ratio
-    return threshold, require_normal(C * ratio, "D_{},{} at alpha={!r}", n, N, alpha), C, ratio
+    if nodes is None:
+        nodes = min_nodes(n, alpha)
+    if N < nodes[0]:
+        return threshold, None, C, ratio, nodes
+    D = require_normal(C * ratio, "D_{},{} at alpha={!r}", n, N, alpha)
+    return threshold, D, C, ratio, nodes
 
 
 def worst_case_constant(n, N, alpha):
@@ -69,10 +80,11 @@ def worst_case_constant(n, N, alpha):
     where the constant is not asserted sharp: a ThresholdError is raised
     before C_n is computed.  A D below the smallest normal double raises
     an InstabilityError."""
-    c3 = min_nodes(n, alpha)[0]
+    nodes = min_nodes(n, alpha)
+    c3 = nodes[0]
     if 1 <= N < c3:
         raise ThresholdError(f"degree hypothesis violated: n+1={n + 1} at alpha={alpha}, N={N} < c3={c3}")
-    return constants_row(n, N, alpha)[1]
+    return _row(n, N, alpha, nodes)[1]
 
 
 def simplified_constant(n, alpha):
@@ -149,8 +161,7 @@ def bound_report(n, N, alpha):
     raises an InstabilityError; a simplified constant that alone
     underflows (n^alpha / 4^alpha at alpha in the thousands) is left
     empty, as it is at n = 0."""
-    threshold, D, C, ratio = constants_row(n, N, alpha)
-    c3, c4 = min_nodes(n, alpha)
+    threshold, D, C, ratio, (c3, c4) = _row(n, N, alpha)
     simplified = None
     if n >= 1:
         try:

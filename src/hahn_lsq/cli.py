@@ -10,12 +10,16 @@ Commands
 
 Exit codes: 0 success, 2 configuration or parameter problems, 3 degree
 threshold violations, 4 numerical instability.
+
+Of the package, this module imports only `bounds` and `errors` when it
+loads.  numpy and the modules built on it (`hahn`, `lsq`, `registry`)
+are imported by the code that fits or builds a grid, so `bounds` and
+`compare` run without them.
 """
 
 import argparse
 import copy
 import functools
-import json
 import math
 import re
 import sys
@@ -23,10 +27,7 @@ from dataclasses import asdict, dataclass, fields
 from itertools import chain, count, islice, repeat
 from typing import Optional
 
-import numpy as np
-
 from . import bounds as bnd
-from . import hahn, lsq, registry
 from .errors import (
     HahnLsqError,
     InstabilityError,
@@ -65,6 +66,8 @@ class ExperimentConfig:
         raise ParameterError("a degree is required: pass --n or --n-range")
 
     def params_for(self, N):
+        from . import hahn
+
         if N > MAX_NODES:
             raise ParameterError(f"grid of N={N} nodes exceeds the limit N <= {MAX_NODES}")
         return hahn.HahnParams(self.alpha, self.resolved_beta(), N)
@@ -154,6 +157,8 @@ def _fit_bound(f, n, params):
 
 def _fit_report(f, n, params):
     """The degree-n fit of f and its ErrorReport against _fit_bound."""
+    from . import lsq
+
     approx = lsq.fit_hahn(f, n, params)
     return approx, lsq.sup_error(f, approx, bound=_fit_bound(f, n, params))
 
@@ -191,6 +196,10 @@ def _check_options(config):
 
 
 def cmd_basis(config):
+    import numpy as np
+
+    from . import hahn
+
     n = config.n
     params = config.params_for(config.nodes)
     if n > params.N:
@@ -225,6 +234,8 @@ def cmd_basis(config):
 
 
 def cmd_fit(config):
+    from . import registry
+
     n = config.n
     params = config.params_for(config.nodes)
     approx, report = _fit_report(registry.resolve(config.function, params), n, params)
@@ -255,6 +266,8 @@ def cmd_bounds(config):
 
 
 def cmd_sharpness(config):
+    from . import registry
+
     rows = []
     worst_gap = 0.0
     for n in config.degrees():
@@ -274,6 +287,8 @@ def cmd_sharpness(config):
 
 
 def cmd_convergence(config):
+    from . import lsq, registry
+
     rows = []
     for n in config.degrees():
         N = _resolve_nodes(config, n)
@@ -352,6 +367,8 @@ def render_csv(columns, rows):
 def render_json(config, columns, rows):
     """The JSON object as a list of strings: the text up to the rows' "[",
     one string per chunk of rows, and the rest."""
+    import json
+
     try:
         payload = {"config": asdict(config), "columns": columns, "rows": []}
         empty = json.dumps(payload, allow_nan=False)

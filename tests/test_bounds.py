@@ -302,6 +302,25 @@ class TestMinNodes:
                 if tight > 1:
                     assert bounds.degree_threshold(alpha, tight - 1) < n + 1
 
+    @pytest.mark.parametrize("name", ["constants_row", "worst_case_constant", "bound_report"])
+    @pytest.mark.parametrize("n,N", [(0, 1), (3, 15), (3, 14), (6, 10), (20, 840), (20, 8000)])
+    def test_called_once_per_cell(self, name, n, N, monkeypatch):
+        # a cell takes c3 (and c4) from one min_nodes call, whichever
+        # entry point builds it
+        calls = []
+        real = bounds.min_nodes
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(bounds, "min_nodes", counting)
+        try:
+            getattr(bounds, name)(n, N, 0.5)
+        except errors.ThresholdError:
+            assert name == "worst_case_constant"
+        assert calls == [(n, 0.5)]
+
 
 class TestBoundReport:
     def test_fields_for_admissible_degree(self):

@@ -46,8 +46,17 @@ REMOVED = (
 
 
 def test_every_exported_name_resolves():
+    # each name is the object its home module defines
     for name in hahn_lsq.__all__:
-        assert getattr(hahn_lsq, name) is not None, name
+        value = getattr(hahn_lsq, name)
+        assert value.__module__.startswith("hahn_lsq."), name
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    assert set(hahn_lsq.__all__) <= set(dir(hahn_lsq))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        hahn_lsq.no_such_name
 
 
 # the exit code and stderr prefix `hahn_lsq.cli.main` reports for each error
@@ -101,11 +110,22 @@ def test_jacobi_module_holds_only_the_continuous_constant():
     assert bounds.continuous_constant is jacobi.continuous_constant
 
 
-@pytest.mark.parametrize("module", ["jacobi.py", "bounds.py", "errors.py"])
+def _outside_functions(node):
+    """The nodes under node that run when its module is imported: all but
+    the bodies of functions and methods."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _outside_functions(child)
+
+
+@pytest.mark.parametrize("module", ["jacobi.py", "bounds.py", "errors.py", "cli.py", "__init__.py"])
 def test_scalar_modules_do_not_import_numpy(module):
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    # the package and the CLI may import numpy in a function, never on import
+    walk = _outside_functions if module in ("cli.py", "__init__.py") else ast.walk
     imported = set()
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if isinstance(node, ast.Import):
             imported.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -113,12 +133,59 @@ def test_scalar_modules_do_not_import_numpy(module):
     assert "numpy" not in imported
 
 
-def test_cli_import_does_not_load_fractions():
-    # exact rationals are for the test oracles; the CLI runs in floats
+def _run_fresh(args, **kwargs):
+    """A fresh interpreter that imports the package under test."""
     paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    code = "import sys, hahn_lsq.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
-    child = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, **kwargs)
+
+
+def test_cli_import_does_not_load_fractions():
+    # exact rationals are for the test oracles and numpy is for the fits:
+    # the package loads its modules on first use, and the CLI loads only
+    # what every command needs
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import hahn_lsq\n"
+        "print(sorted(m for m in sys.modules if m.startswith('hahn_lsq.')))\n"
+        "import hahn_lsq.cli\n"
+        "print(sorted((set(sys.modules) - before) & {'fractions', 'decimal', 'numpy', 'json',\n"
+        "    'hahn_lsq.hahn', 'hahn_lsq.lsq', 'hahn_lsq.registry'}))\n"
     )
-    assert child.stdout.strip() == "[]"
+    child = _run_fresh(["-c", code], text=True, check=True)
+    assert child.stdout.splitlines() == ["[]", "[]"]
+
+
+# runs hahn_lsq.cli.main on its arguments with numpy unimportable
+WITHOUT_NUMPY = (
+    "import sys\n"
+    "sys.modules['numpy'] = None\n"
+    "import hahn_lsq.cli\n"
+    "sys.exit(hahn_lsq.cli.main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bounds", "--alpha", "0", "--n-range", "1..20"),
+        ("bounds", "--alpha", "0.5", "--n-range", "0..12", "--node-rule", "c3"),
+        ("compare", "--alpha", "0", "--n-range", "1..20", "--node-rule", "c4"),
+        ("compare", "--alpha", "0.5", "--n-range", "2..20"),
+    ],
+)
+def test_constant_tables_print_without_numpy(argv, fmt, capsys):
+    argv = [*argv, "--format", fmt]
+    child = _run_fresh(["-c", WITHOUT_NUMPY, *argv])
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert cli.main(argv) == 0
+    assert child.stdout == capsys.readouterr().out.encode("utf-8")
+
+
+def test_compare_golden_prints_without_numpy():
+    argv = ["compare", "--alpha", "0", "--n-range", "1..20", "--node-rule", "c4"]
+    child = _run_fresh(["-c", WITHOUT_NUMPY, *argv], check=True)
+    golden = pathlib.Path(__file__).parent / "golden" / "compare_c4_a0_n1_20.csv"
+    assert child.stdout == golden.read_bytes()
