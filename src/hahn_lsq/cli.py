@@ -23,9 +23,8 @@ import functools
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import fields
 from itertools import chain, count, islice, repeat
-from typing import Optional
 
 from . import bounds as bnd
 from .errors import (
@@ -41,36 +40,23 @@ SHARPNESS_GAP_TOL = 1e-8
 MAX_NODES = 10**6
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    command: str
-    alpha: float = 0.0
-    beta: Optional[float] = None
-    n: Optional[int] = None
-    n_range: Optional[tuple] = None
-    nodes: Optional[int] = None
-    node_rule: Optional[str] = None
-    function: Optional[str] = None
-    output_format: str = "csv"
-    output_path: Optional[str] = None
+def _degrees(config):
+    if config.n is not None:
+        return [config.n]
+    if config.n_range is not None:
+        lo, hi = config.n_range
+        return list(range(lo, hi + 1))
+    raise ParameterError("a degree is required: pass --n or --n-range")
 
-    def resolved_beta(self):
-        return self.alpha if self.beta is None else self.beta
 
-    def degrees(self):
-        if self.n is not None:
-            return [self.n]
-        if self.n_range is not None:
-            lo, hi = self.n_range
-            return list(range(lo, hi + 1))
-        raise ParameterError("a degree is required: pass --n or --n-range")
+def _params(config, N):
+    """The Hahn parameters of an N-node grid; beta defaults to alpha."""
+    from . import hahn
 
-    def params_for(self, N):
-        from . import hahn
-
-        if N > MAX_NODES:
-            raise ParameterError(f"grid of N={N} nodes exceeds the limit N <= {MAX_NODES}")
-        return hahn.HahnParams(self.alpha, self.resolved_beta(), N)
+    if N > MAX_NODES:
+        raise ParameterError(f"grid of N={N} nodes exceeds the limit N <= {MAX_NODES}")
+    beta = config.alpha if config.beta is None else config.beta
+    return hahn.HahnParams(config.alpha, beta, N)
 
 
 def _parse_n_range(text):
@@ -201,7 +187,7 @@ def cmd_basis(config):
     from . import hahn
 
     n = config.n
-    params = config.params_for(config.nodes)
+    params = _params(config, config.nodes)
     if n > params.N:
         raise ParameterError(f"basis degree must satisfy n <= N={params.N}, got {n}")
     # the norms first: where h_0 leaves the double range this raises
@@ -237,7 +223,7 @@ def cmd_fit(config):
     from . import registry
 
     n = config.n
-    params = config.params_for(config.nodes)
+    params = _params(config, config.nodes)
     approx, report = _fit_report(registry.resolve(config.function, params), n, params)
     # a zero bound (polynomial reproduced exactly) makes the quotient
     # infinite; serialize that as an empty cell, not "inf"
@@ -257,7 +243,7 @@ def cmd_fit(config):
 def cmd_bounds(config):
     columns = tuple(field.name for field in fields(bnd.BoundReport))
     rows = []
-    for n in config.degrees():
+    for n in _degrees(config):
         report = bnd.bound_report(n, _resolve_nodes(config, n), config.alpha)
         # hypothesis_ok prints as 0 or 1 in both formats
         cells = (getattr(report, name) for name in columns)
@@ -270,9 +256,9 @@ def cmd_sharpness(config):
 
     rows = []
     worst_gap = 0.0
-    for n in config.degrees():
+    for n in _degrees(config):
         N = _resolve_nodes(config, n)
-        params = config.params_for(N)
+        params = _params(config, N)
         # a unit (n+1)-st derivative: the bound is D_{n,N}, as fit prints it
         _, report = _fit_report(registry.resolve(f"extremal:{n}", params), n, params)
         gap = abs(report.sup_error - report.bound) / report.bound
@@ -290,9 +276,9 @@ def cmd_convergence(config):
     from . import lsq, registry
 
     rows = []
-    for n in config.degrees():
+    for n in _degrees(config):
         N = _resolve_nodes(config, n)
-        params = config.params_for(N)
+        params = _params(config, N)
         f = registry.resolve(config.function, params)
         if f.derivative_sup is None:
             raise ParameterError(
@@ -310,12 +296,12 @@ def cmd_convergence(config):
 def cmd_compare(config):
     if config.nodes is not None or config.node_rule is not None:
         rule = "explicit" if config.nodes is not None else config.node_rule
-        cells = [(rule, n, _resolve_nodes(config, n)) for n in config.degrees()]
+        cells = [(rule, n, _resolve_nodes(config, n)) for n in _degrees(config)]
     else:
         # two-regime sweep: quadratic node growth keeps the ratio away
         # from 1, cubic pushes it toward 1
         rules = (("nsq10", lambda n: 10 * n * n), ("ncube", lambda n: n**3))
-        cells = [(rule, n, N(n)) for n in config.degrees() for rule, N in rules]
+        cells = [(rule, n, N(n)) for n in _degrees(config) for rule, N in rules]
     rows = [(rule, n, N, *bnd.constants_row(n, N, config.alpha)[1:]) for rule, n, N in cells]
     return ("rule", "n", "N", "D", "C", "ratio"), rows, None
 
@@ -370,7 +356,7 @@ def render_json(config, columns, rows):
     import json
 
     try:
-        payload = {"config": asdict(config), "columns": columns, "rows": []}
+        payload = {"config": vars(config), "columns": columns, "rows": []}
         empty = json.dumps(payload, allow_nan=False)
         pieces = [empty[:-2]]
         for chunk in _chunks(rows):
@@ -396,9 +382,11 @@ def _write_output(pieces, path):
 
 
 def run(config):
-    """Execute one experiment; returns (pieces, error).  pieces is the
-    whole rendered table as a list of strings, to be written in order;
-    error is None or a HahnLsqError to report once they are written."""
+    """Execute one experiment, configured by the namespace that
+    build_parser().parse_args(argv) returns; returns (pieces, error).
+    pieces is the whole rendered table as a list of strings, to be
+    written in order; error is None or a HahnLsqError to report once
+    they are written."""
     _check_options(config)
     columns, rows, error = _COMMANDS[config.command](config)
     if config.output_format == "json":
@@ -409,10 +397,9 @@ def run(config):
 def main(argv=None):
     parser = build_parser()
     try:
-        namespace = parser.parse_args(argv)
+        config = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else HahnLsqError.exit_code
-    config = ExperimentConfig(**vars(namespace))
     try:
         pieces, error = run(config)
         _write_output(pieces, config.output_path)

@@ -28,12 +28,11 @@ def polynomial_function(coefficients, name=None):
         raise ParameterError("polynomial needs at least one coefficient")
     if not all(map(math.isfinite, coeffs)):
         raise ParameterError(f"polynomial coefficients must be finite, got {coeffs}")
-    poly = np.polynomial.Polynomial(coeffs)
     if name is None:
         name = "poly:" + ",".join(repr(c) for c in coeffs)
 
     def evaluator(t):
-        return poly(np.asarray(t, dtype=float))
+        return np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), coeffs)
 
     def derivative_sup(order):
         total = 0.0

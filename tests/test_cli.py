@@ -9,7 +9,6 @@ import sys
 import tracemalloc
 import warnings
 import dataclasses
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -87,6 +86,26 @@ class TestRegistry:
         assert f.derivative_sup(1) == pytest.approx(2 + 2 * 0.5, rel=1e-15)
         assert f.derivative_sup(3) == 0.0
 
+    @pytest.mark.parametrize(
+        "name, coefficients",
+        [
+            ("const1", [1.0]),
+            ("linear", [0.0, 1.0]),
+            ("poly:0.5,-1.5,0.25,2.0", [0.5, -1.5, 0.25, 2.0]),
+        ],
+    )
+    def test_polynomial_values_match_a_numpy_polynomial(self, name, coefficients):
+        # Horner's sums by polyval, bit for bit and type for type, as a
+        # Polynomial object on its default domain computes them
+        f = registry.resolve(name)
+        reference = np.polynomial.Polynomial(coefficients)
+        grid = np.linspace(-1.0, 1.0, 841)
+        assert f.evaluator(grid).tobytes() == reference(grid).tobytes()
+        for t in (0.3183098861837907, -0.0, 1.0, -1.0):
+            value = f.evaluator(t)
+            assert type(value) is type(reference(t))
+            assert np.array([value]).tobytes() == np.array([reference(t)]).tobytes()
+
     @pytest.mark.parametrize("coefficients", [[1.0, math.inf], [math.nan], [-math.inf, 0.0]])
     def test_polynomial_refuses_a_non_finite_coefficient(self, coefficients):
         with pytest.raises(errors.ParameterError, match="coefficients must be finite"):
@@ -116,18 +135,17 @@ class TestRegistry:
 
 class TestConfig:
     def test_degrees_requires_some_degree(self):
-        config = cli.ExperimentConfig(command="bounds")
+        config = cli.build_parser().parse_args(["bounds"])
         with pytest.raises(errors.ParameterError):
-            config.degrees()
+            cli._degrees(config)
 
     def test_range_expansion(self):
-        config = cli.ExperimentConfig(command="bounds", n_range=(2, 5))
-        assert config.degrees() == [2, 3, 4, 5]
+        config = cli.build_parser().parse_args(["bounds", "--n-range", "2..5"])
+        assert cli._degrees(config) == [2, 3, 4, 5]
 
     def test_beta_defaults_to_alpha(self):
-        config = cli.ExperimentConfig(command="basis", alpha=0.5)
-        assert config.resolved_beta() == 0.5
-        assert config.params_for(6).beta == 0.5
+        config = cli.build_parser().parse_args(["basis", "--alpha", "0.5"])
+        assert cli._params(config, 6).beta == 0.5
 
     @pytest.mark.parametrize(
         "option,value", [("--alpha", "-5e-08"), ("--beta", "-1e-05"), ("--alpha", "-1E-5")]
@@ -149,12 +167,14 @@ class TestConfig:
     def test_c3_node_count_near_alpha_minus_half_is_refused_before_a_grid(self):
         # c3 grows like 2n^2 / (2 alpha + 1): 1.6e10 nodes here, which the
         # grid, its samples and its weight could never hold
-        config = cli.ExperimentConfig(command="sharpness", alpha=-0.4999999, n=40, node_rule="c3")
+        config = cli.build_parser().parse_args(
+            ["sharpness", "--alpha", "-0.4999999", "--n", "40", "--node-rule", "c3"]
+        )
         N = cli._resolve_nodes(config, 40)
         assert N == 16000000080
         with pytest.raises(errors.ParameterError, match="exceeds the limit"):
-            config.params_for(N)
-        assert config.params_for(cli.MAX_NODES).N == cli.MAX_NODES
+            cli._params(config, N)
+        assert cli._params(config, cli.MAX_NODES).N == cli.MAX_NODES
 
     def test_options_may_precede_the_command(self, capsys):
         _, first, _ = run_cli(["bounds", "--alpha", "0.5", "--n-range", "1..4"], capsys)
@@ -947,15 +967,24 @@ class TestEmission:
             assert ["" if v is None else str(v) for v in row.values()] == line.split(",")
 
     def test_json_config_echo(self, capsys):
+        # every option, in the parser's order, with null for those unset
         _, out, _ = run_cli(
-            ["compare", "--alpha", "0.5", "--n", "3", "--nodes", "40", "--format", "json"],
+            ["--alpha", "0.5", "--format", "json", "compare", "--n-range", "2..3", "--nodes", "40"],
             capsys,
         )
         payload = json.loads(out)
-        assert payload["config"]["command"] == "compare"
-        assert payload["config"]["alpha"] == 0.5
-        assert payload["config"]["nodes"] == 40
-        assert "seed" not in payload["config"]
+        assert list(payload["config"].items()) == [
+            ("command", "compare"),
+            ("alpha", 0.5),
+            ("beta", None),
+            ("n", None),
+            ("n_range", [2, 3]),
+            ("nodes", 40),
+            ("node_rule", None),
+            ("function", None),
+            ("output_format", "json"),
+            ("output_path", None),
+        ]
         assert payload["columns"] == ["rule", "n", "N", "D", "C", "ratio"]
 
     def test_out_file_bytes(self, tmp_path, capsys):
@@ -1027,7 +1056,7 @@ def one_shot_csv(columns, rows):
 
 def one_shot_json(config, columns, rows):
     payload = {
-        "config": asdict(config),
+        "config": vars(config),
         "columns": columns,
         "rows": [dict(zip(columns, row)) for row in rows],
     }
@@ -1055,7 +1084,9 @@ class TestChunkedEmission:
     )
     def test_bytes_equal_a_one_shot_render(self, count):
         rows = synthetic_rows(count)
-        config = cli.ExperimentConfig(command="basis", alpha=0.5, n=3, nodes=9)
+        config = cli.build_parser().parse_args(
+            ["basis", "--alpha", "0.5", "--n", "3", "--nodes", "9"]
+        )
         chunks = -(-count // self.CHUNK)
         pieces = cli.render_csv(self.COLUMNS, iter(rows))
         assert len(pieces) == 1 + chunks

@@ -38,15 +38,6 @@ def families(draw):
 
 
 @st.composite
-def approximants(draw):
-    params, n = draw(families())
-    coefficients = draw(
-        st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=n + 1, max_size=n + 1)
-    )
-    return lsq.Approximant(params, n, tuple(coefficients))
-
-
-@st.composite
 def witnesses(draw):
     alpha = draw(st.integers(-1, 16).map(lambda k: k / 4))
     N = draw(st.integers(1, 60))
@@ -63,13 +54,6 @@ def test_column_equals_one_point_table(family, x):
     column = list(hahn._hahn_rows(n, x, params))
     table = hahn.hahn_table(n, [x], params)[:, 0]
     assert list(map(bits, column)) == list(map(bits, table))
-
-
-@past_validated_range
-@PROPERTY
-@given(approximants(), unit_t)
-def test_scalar_evaluate_equals_array_evaluate(a, t):
-    assert bits(lsq.evaluate(a, t)) == bits(lsq.evaluate(a, np.array([t]))[0])
 
 
 @PROPERTY
@@ -96,8 +80,9 @@ def test_large_fits_agree_on_both_paths(n, N, alpha):
 
 @pytest.mark.parametrize("n, N", [(41, 2 * 41 * 42), (4, 10**4 + 1)])
 def test_fits_past_the_validated_range_still_warn(n, N):
-    # the scalar polish skips the range check; the projection table in
-    # fit_hahn and the scan table in sup_error must still warn
+    # the polish sums Chebyshev coefficients by Clenshaw's recurrence and
+    # checks no range; the projection table in fit_hahn and `evaluate` at
+    # the n+1 Chebyshev points in sup_error must still warn
     params = hahn.HahnParams(0.0, 0.0, N)
     f = registry.resolve("exp")
     with pytest.warns(errors.NumericalRangeWarning):
