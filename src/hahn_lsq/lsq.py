@@ -22,12 +22,31 @@ class FunctionSpec:
     """A named target function on [-1,1].
 
     derivative_sup(k), when provided, must upper-bound sup |f^{(k)}|;
-    bound and class-membership claims are skipped without it.
+    bound and class-membership claims are skipped without it.  parity,
+    when provided, promises f(-t) = parity * f(t): 1 for an even f, -1
+    for an odd one.
     """
 
     name: str
     evaluator: Callable
     derivative_sup: Optional[Callable] = None
+    parity: Optional[int] = None
+
+    def __post_init__(self):
+        if self.parity not in (None, 1, -1):
+            raise ParameterError(f"parity must be 1, -1 or None, got {self.parity!r}")
+
+    @functools.cached_property
+    def _candidate_values(self):
+        """f on _candidates(), read-only, sampled once per spec; an even or
+        odd f is sampled on t >= 0 only and mirrored."""
+        if self.parity is None:
+            values = _sample(self, _candidates())
+        else:
+            half = _sample(self, _half_candidates())
+            values = np.concatenate((self.parity * half[:0:-1], half))
+        values.flags.writeable = False
+        return values
 
 
 @dataclass(frozen=True)
@@ -247,12 +266,13 @@ def sup_error(f, a, bound=None):
     the grid argmax and its two neighbours (the first or last three
     candidates at an end point).  The grid maximum, ties to the leftmost,
     stands unless a step finds a larger error.  The grid sums the
-    Chebyshev coefficients by _scan, the steps by Clenshaw's recurrence.
+    Chebyshev coefficients by _scan, the steps by Clenshaw's recurrence;
+    f on the grid is the spec's own _candidate_values, sampled once.
     When `bound` is given the report also carries sup_error/bound.
     """
     cand = _candidates()
     coefficients = _chebyshev_coefficients(a)
-    errs = np.abs(_sample(f, cand) - _scan(coefficients))
+    errs = np.abs(f._candidate_values - _scan(coefficients))
     i = int(np.argmax(errs))
     j = min(max(i, 1), cand.size - 2)
     series = coefficients.tolist()
@@ -313,7 +333,9 @@ def extremal_function(n, params):
             f"witness certifies only derivative order {n + 1}, asked for {order}"
         )
 
-    return FunctionSpec(f"extremal:{n}", evaluator, derivative_sup)
+    # Q_{n+1}(N - x) = (-1)^{n+1} Q_{n+1}(x) for alpha = beta, up to the
+    # rounding of N(1+t)/2
+    return FunctionSpec(f"extremal:{n}", evaluator, derivative_sup, (-1) ** (n + 1))
 
 
 def class_K_defect(f, n, alpha):

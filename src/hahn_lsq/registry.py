@@ -4,6 +4,7 @@ Fixed names keep runs reproducible without an expression parser:
 const1, linear, poly:<c0,c1,...>, exp, sin<k>, runge, extremal:<n>.
 """
 
+import functools
 import math
 import re
 
@@ -21,7 +22,9 @@ def polynomial_function(coefficients, name=None):
     """FunctionSpec for c0 + c1 t + c2 t^2 + ...
 
     The derivative sup is the certified upper bound
-    sum_{j>=m} |c_j| j!/(j-m)!, exact zero beyond the degree.
+    sum_{j>=m} |c_j| j!/(j-m)!, exact zero beyond the degree.  The
+    parity is even or odd when the nonzero coefficients all sit at even
+    or all at odd powers: Horner's rule then gives f(-t) = +-f(t) exactly.
     """
     coeffs = [float(c) for c in coefficients]
     if not coeffs:
@@ -40,7 +43,12 @@ def polynomial_function(coefficients, name=None):
             total += abs(coeffs[j]) * math.perm(j, order)
         return total
 
-    return FunctionSpec(name, evaluator, derivative_sup)
+    parity = None
+    if not any(coeffs[1::2]):
+        parity = 1
+    elif not any(coeffs[0::2]):
+        parity = -1
+    return FunctionSpec(name, evaluator, derivative_sup, parity)
 
 
 def sine_function(k):
@@ -51,7 +59,7 @@ def sine_function(k):
     def evaluator(t):
         return np.sin(k * np.asarray(t, dtype=float))
 
-    return FunctionSpec(f"sin{k}", evaluator, lambda order: float(k) ** order)
+    return FunctionSpec(f"sin{k}", evaluator, lambda order: float(k) ** order, parity=-1)
 
 
 def _exp_spec():
@@ -65,15 +73,28 @@ def _runge_spec():
         arr = np.asarray(t, dtype=float)
         return 1.0 / (1.0 + 25.0 * arr * arr)
 
-    return FunctionSpec("runge", evaluator, None)
+    return FunctionSpec("runge", evaluator, None, parity=1)
 
 
 def resolve(name, params=None):
     """Look up a registry function by name.
 
-    extremal:<n> builds the sharpness witness and therefore needs the
-    Hahn parameters of the intended fit.
+    A fixed name gives one shared spec, so its samples on the sup_error
+    candidates are taken once.  extremal:<n> builds the sharpness witness
+    afresh and therefore needs the Hahn parameters of the intended fit.
     """
+    match = _EXTREMAL_NAME.match(name)
+    if match:
+        if params is None:
+            raise ParameterError("extremal:<n> requires grid parameters")
+        return extremal_function(int(match.group(1)), params)
+    return _resolve_fixed(name)
+
+
+# sin<k> and poly: name unboundedly many targets, so only the 32 most
+# recently resolved keep their spec
+@functools.lru_cache(maxsize=32)
+def _resolve_fixed(name):
     if name == "const1":
         return polynomial_function([1.0], name="const1")
     if name == "linear":
@@ -92,9 +113,4 @@ def resolve(name, params=None):
         except ValueError as exc:
             raise ParameterError(f"bad polynomial coefficient list in {name!r}: {exc}") from exc
         return polynomial_function(coeffs)
-    match = _EXTREMAL_NAME.match(name)
-    if match:
-        if params is None:
-            raise ParameterError("extremal:<n> requires grid parameters")
-        return extremal_function(int(match.group(1)), params)
     raise ParameterError(f"unknown function name {name!r}")

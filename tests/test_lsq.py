@@ -274,6 +274,94 @@ class TestSupErrorPolish:
         assert lsq.sup_error(f, a).sup_error >= reference - 1e-13 * scale
 
 
+# targets whose registry spec declares a parity; poly:0,1,0,-2 is odd
+# and poly:1,0,3 even
+_PARITY_TARGETS = ["sin1", "sin3", "sin10", "runge", "const1", "linear", "poly:0,1,0,-2", "poly:1,0,3"]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _report_bits(report):
+    return _bits([report.sup_error, report.argmax])
+
+
+class TestParity:
+    """An even or odd target is sampled on t >= 0 and mirrored; sup_error
+    must give the bits of the full sample."""
+
+    @pytest.mark.parametrize("name", _PARITY_TARGETS)
+    def test_declared_parity_holds_bit_for_bit(self, name):
+        # t = 0 is sampled, never mirrored, and -(+0.0) is -0.0
+        f = registry.resolve(name)
+        t = lsq._half_candidates()[1:]
+        assert _bits(f.evaluator(-t)) == _bits(f.parity * f.evaluator(t))
+
+    @pytest.mark.parametrize("alpha, beta", [(0.5, 0.5), (3.0, 0.0)])
+    @pytest.mark.parametrize("name", _PARITY_TARGETS)
+    def test_sup_error_equals_the_full_sample(self, name, alpha, beta):
+        f = registry.resolve(name)
+        a = lsq.fit_hahn(f, 7, hahn.HahnParams(alpha, beta, 40))
+        full = lsq.sup_error(dataclasses.replace(f, parity=None), a)
+        assert _report_bits(lsq.sup_error(f, a)) == _report_bits(full)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+    def test_sweep_witnesses_equal_the_full_sample(self, alpha):
+        for n in range(1, 21):
+            params = hahn.HahnParams(alpha, alpha, 2 * n * (n + 1))
+            f = lsq.extremal_function(n, params)
+            a = lsq.fit_hahn(f, n, params)
+            full = lsq.sup_error(dataclasses.replace(f, parity=None), a)
+            assert f.parity == (-1) ** (n + 1)
+            assert _report_bits(lsq.sup_error(f, a)) == _report_bits(full), n
+
+    @pytest.mark.parametrize("name", ["exp", "poly:0.5,-1.5,0.25,2.0"])
+    def test_other_targets_declare_none(self, name):
+        assert registry.resolve(name).parity is None
+
+    @pytest.mark.parametrize("parity", [0, 2, 0.5])
+    def test_only_plus_or_minus_one(self, parity):
+        with pytest.raises(errors.ParameterError):
+            lsq.FunctionSpec("f", np.sin, parity=parity)
+
+
+class TestCandidateValues:
+    """A spec samples its target on the sup_error candidates once."""
+
+    def test_fixed_names_share_one_spec(self):
+        assert registry.resolve("sin3") is registry.resolve("sin3")
+        params = hahn.HahnParams(0.0, 0.0, 12)
+        assert registry.resolve("extremal:2", params) is not registry.resolve("extremal:2", params)
+
+    @pytest.mark.parametrize("parity", [-1, None])
+    def test_two_sup_errors_sample_once(self, parity):
+        f = registry.resolve("sin3")
+        arrays = []
+
+        def evaluator(t):
+            if np.ndim(t):
+                arrays.append(t)
+            return f.evaluator(t)
+
+        counted = dataclasses.replace(f, evaluator=evaluator, parity=parity)
+        a = lsq.fit_hahn(f, 5, hahn.HahnParams(0.5, 0.5, 60))
+        assert lsq.sup_error(counted, a) == lsq.sup_error(counted, a)
+        assert len(arrays) == 1
+        if parity is None:
+            assert arrays[0] is lsq._candidates()
+        else:
+            assert arrays[0] is lsq._half_candidates()
+            assert arrays[0].size == 7048 and not np.any(arrays[0] < 0)
+
+    @pytest.mark.parametrize("name", ["sin3", "exp"])
+    def test_cached_values_are_read_only(self, name):
+        values = registry.resolve(name)._candidate_values
+        assert values.shape == lsq._candidates().shape
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+
+
 class TestExtremalFunction:
     def test_small_case_closed_form(self):
         # f*(t) = (2 t^2 - 1)/4 for n = 1 on the flat five-point grid

@@ -8,7 +8,6 @@ on those bits to agree with the array scan they start from.
 """
 
 import struct
-import warnings
 
 import numpy as np
 import pytest
@@ -62,19 +61,13 @@ def test_scalar_witness_equals_array_witness(witness, t):
     assert bits(witness.evaluator(t)) == bits(witness.evaluator(np.array([t]))[0])
 
 
+@past_validated_range
 @pytest.mark.parametrize("n, N", [(30, 1860), (80, 12960)])
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
-def test_large_fits_agree_on_both_paths(n, N, alpha):
+def test_large_degree_column_equals_one_point_table(n, N, alpha):
     params = hahn.HahnParams(alpha, alpha, N)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", errors.NumericalRangeWarning)
-        a = lsq.fit_hahn(registry.resolve("exp"), n, params)
-        ts = np.concatenate([np.linspace(-1.0, 1.0, 101), np.cos(np.arange(64) * 0.05)])
-        # one-point arrays: a many-point product may sum in another order
-        array_values = [lsq.evaluate(a, np.array([t]))[0] for t in ts]
-        column = list(hahn._hahn_rows(n, 1234.5, params))
-        table = hahn.hahn_table(n, [1234.5], params)[:, 0]
-        assert [bits(lsq.evaluate(a, t)) for t in ts] == list(map(bits, array_values))
+    column = list(hahn._hahn_rows(n, 1234.5, params))
+    table = hahn.hahn_table(n, [1234.5], params)[:, 0]
     assert list(map(bits, column)) == list(map(bits, table))
 
 
