@@ -115,7 +115,7 @@ class DiscreteWeight:
         return np.exp(self.log_values - self.log_values.max())
 
 
-@functools.lru_cache(maxsize=128, typed=True)
+@functools.lru_cache(maxsize=256, typed=True)
 def _recurrence_coefficients(n_max, a, b, N):
     """Forward coefficients (A_k, C_k), k = 1..n_max-1, of
 
@@ -123,12 +123,14 @@ def _recurrence_coefficients(n_max, a, b, N):
 
     They drive the tables and, through A_{k-1} h_k = C_k h_{k-1}, the
     norms.  Cached because a command asks for the same ones again: one
-    round of benchmark `sweep` in listed order makes 1170 calls (3.5 per
-    op) on 220 distinct keys, and 510 of them hit.  Every hit is within
-    one op: the fit rows and sup_error's Chebyshev values share key n,
-    and the norms (and sharpness's witness) use n+1.  The 220 keys
-    exceed the 128 entries, so nothing is reused across ops.  At n = 31
-    building them takes 9.7 us against 0.15 us for a hit (Python 3.11).
+    round of benchmark `sweep` in listed order makes 840 calls (2.5 per
+    op) on 170 distinct keys, and 670 of them hit, all within one op: a
+    degree-n fit's rows and norms (and sharpness's scale check) share
+    key n+1, and the witness's rows use n+2.  The 256 entries hold a
+    whole round, so the shuffled rounds after it miss no key; 128 held
+    too few, and four such rounds missed 94 to 132 times each.  At
+    n = 31 building them takes 9.7 us against 0.15 us for a hit
+    (Python 3.11).
     """
     coefficients = []
     for k in range(1, n_max):
@@ -159,7 +161,9 @@ def _hahn_rows(n_max, x, params):
         return
     cur = 1.0 - x * (a + b + 2.0) / ((a + 1.0) * N)
     yield cur
-    for A, C in _recurrence_coefficients(n_max, a, b, N):
+    # key n_max + 1 is the one _norm_ratios(n_max) uses, so a fit's rows
+    # and norms share one build; the last pair, for Q_{n_max+1}, is unused
+    for A, C in _recurrence_coefficients(n_max + 1, a, b, N)[:-1]:
         prev *= C
         spare = A + C - x
         spare *= cur

@@ -6,7 +6,7 @@ witness, and the class-K membership defect.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,11 +51,21 @@ class FunctionSpec:
 
 @dataclass(frozen=True)
 class Approximant:
-    """Degree-n expansion sum_k c_k Q_k(N(1+t)/2) in the Hahn basis."""
+    """Degree-n expansion sum_k c_k Q_k(N(1+t)/2) in the Hahn basis.
+
+    chebyshev_values, set by fit_hahn only, holds the expansion at the
+    n+1 first-kind Chebyshev points t_j = cos(pi (j + 1/2)/(n+1)),
+    read-only and with the bits of evaluate there.  An approximant built
+    by hand or by dataclasses.replace has None, and sup_error evaluates
+    it instead.
+    """
 
     params: hahn.HahnParams
     degree: int
     coefficients: tuple
+    chebyshev_values: Optional[np.ndarray] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         hahn._check_degree(self.degree, self.params.N, "approximant degree")
@@ -111,14 +121,18 @@ def fit_hahn(f, n, params):
     row Q_k on the grid is contracted as it appears and then dropped.  A
     symmetric family has Q_k(N - x) = (-1)^k Q_k(x), so its rows run on
     x = 0..N//2 only, against the even or the odd fold of the data.
-    Finite samples can still sum past the double range, and a norm ratio
-    can underflow to zero; numpy stays quiet about both because
-    Approximant rejects the non-finite coefficient.
+    The same walk also covers the n+1 Chebyshev points x = N(1+t_j)/2
+    that sup_error needs, and keeps their rows as a table, so the fit
+    carries its values there, with the bits of evaluate.  Finite samples
+    can still sum past the double range, and a norm ratio can underflow
+    to zero; numpy stays quiet about both because Approximant rejects
+    the non-finite coefficient.
     """
     fs, w = _weighted_samples(f, n, params)
     N = params.N
     hahn._check_range(n, N)
     dots = np.empty(n + 1)
+    table = np.empty((n + 1, n + 1))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         fw = fs * w
         if params.symmetric:
@@ -131,10 +145,17 @@ def fit_hahn(f, n, params):
                 folds[0][last] = fw[last]
         else:
             last, folds = N, (fw, fw)
-        for k, row in enumerate(hahn._hahn_rows(n, np.arange(last + 1, dtype=float), params)):
-            dots[k] = row @ folds[k % 2]
+        xs = N * (1.0 + _chebyshev_nodes(n)) / 2.0
+        points = np.concatenate((np.arange(last + 1, dtype=float), xs))
+        for k, row in enumerate(hahn._hahn_rows(n, points, params)):
+            dots[k] = row[: last + 1] @ folds[k % 2]
+            table[k] = row[last + 1 :]
         coefficients = dots / (w.sum() * hahn._norm_ratios(n, params))
-    return Approximant(params, n, tuple(coefficients.tolist()))
+    approximant = Approximant(params, n, tuple(coefficients.tolist()))
+    values = coefficients @ table
+    values.flags.writeable = False
+    object.__setattr__(approximant, "chebyshev_values", values)
+    return approximant
 
 
 def evaluate(a, t):
@@ -166,22 +187,38 @@ def _candidates():
     return out
 
 
+def _chebyshev_angles(n):
+    """theta_j = pi (j + 1/2)/(n+1), j = 0..n."""
+    return (np.arange(n + 1) + 0.5) * (math.pi / (n + 1))
+
+
 @functools.lru_cache(maxsize=64)
-def _chebyshev_transform(n):
-    """First-kind Chebyshev points t_j = cos(pi (j + 1/2)/(n+1)), j = 0..n,
-    and the (n+1)^2 cosine matrix that takes the values of a degree-n
-    polynomial there to its Chebyshev coefficients."""
-    theta = (np.arange(n + 1) + 0.5) * (math.pi / (n + 1))
-    matrix = np.cos(np.outer(np.arange(n + 1), theta)) * (2.0 / (n + 1))
+def _chebyshev_nodes(n):
+    """First-kind Chebyshev points t_j = cos(theta_j), j = 0..n, read-only."""
+    nodes = np.cos(_chebyshev_angles(n))
+    nodes.flags.writeable = False
+    return nodes
+
+
+@functools.lru_cache(maxsize=64)
+def _chebyshev_matrix(n):
+    """The (n+1)^2 cosine matrix that takes the values of a degree-n
+    polynomial at _chebyshev_nodes(n) to its Chebyshev coefficients."""
+    matrix = np.cos(np.outer(np.arange(n + 1), _chebyshev_angles(n))) * (2.0 / (n + 1))
     matrix[0] *= 0.5
-    return np.cos(theta), matrix
+    return matrix
 
 
 def _chebyshev_coefficients(a):
-    """The approximant's Chebyshev coefficients, from its values at n+1
-    Chebyshev points."""
-    nodes, matrix = _chebyshev_transform(a.degree)
-    return matrix @ evaluate(a, nodes)
+    """The approximant's Chebyshev coefficients, from its values at the
+    n+1 Chebyshev points: those fit_hahn carried, or evaluate's."""
+    values = a.chebyshev_values
+    if values is None:
+        values = evaluate(a, _chebyshev_nodes(a.degree))
+    else:
+        # the range check evaluate would have made
+        hahn._check_range(a.degree, a.params.N)
+    return _chebyshev_matrix(a.degree) @ values
 
 
 # T_0, T_1, ... on _half_candidates(), in blocks of _CHEBYSHEV_BLOCK rows shared

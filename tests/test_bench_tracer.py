@@ -9,6 +9,7 @@ import importlib.util
 import pathlib
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from hahn_lsq import bounds, cli, hahn, jacobi, lsq, registry
@@ -58,6 +59,10 @@ def test_traced_op_records_every_layer_it_passes(tracer, capsys):
         # a fit takes its norms from the recurrence ratios; basis prints
         # hahn_norm_sq, so the norm wrapper is covered there
         codes.append(tracer.run_op(1, cli.main, ["basis", "--nodes", "6", "--n", "2"]))
+        # a fit carries its values at the Chebyshev points, so no command
+        # reaches evaluate, which the lsq.scan span wraps; call it directly
+        a = lsq.Approximant(hahn.HahnParams(0.0, 0.0, 6), 2, (1.0, 0.5, 0.25))
+        tracer.run_op(2, lambda: lsq.evaluate(a, np.linspace(-1, 1, 5)))
     finally:
         tracer.uninstall()
     capsys.readouterr()

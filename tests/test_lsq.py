@@ -1,5 +1,7 @@
 import dataclasses
+import importlib.util
 import math
+import pathlib
 import warnings
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from hahn_lsq import bounds, errors, hahn, lsq, registry
+from hahn_lsq import bounds, cli, errors, hahn, lsq, registry
 
 
 def _poly_samples_exact(mono, N):
@@ -360,6 +362,83 @@ class TestCandidateValues:
         assert values.shape == lsq._candidates().shape
         with pytest.raises(ValueError):
             values[0] = 0.0
+
+
+def _fit_large_cells():
+    """(function, n, params) of round 0 of the benchmark's fit-large workload."""
+    path = pathlib.Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [(op.function, op.n, hahn.HahnParams(op.alpha, op.beta, op.N))
+            for op in module.ops("fit-large")]
+
+
+class TestCarriedChebyshevValues:
+    """fit_hahn carries the fit's values at the n+1 Chebyshev points from
+    its own walk; they and the sup_error built on them must have the bits
+    of the evaluate path that a hand-built twin of the fit still takes."""
+
+    @staticmethod
+    def assert_carried_equals_evaluated(f, n, params):
+        fit = lsq.fit_hahn(f, n, params)
+        twin = lsq.Approximant(params, n, fit.coefficients)
+        assert twin.chebyshev_values is None
+        evaluated = lsq.evaluate(twin, lsq._chebyshev_nodes(n))
+        assert _bits(fit.chebyshev_values) == _bits(evaluated), (f.name, n, params)
+        assert _report_bits(lsq.sup_error(f, fit)) == _report_bits(lsq.sup_error(f, twin))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+    def test_sweep_witness_cells(self, alpha):
+        for n in range(1, 21):
+            params = hahn.HahnParams(alpha, alpha, 2 * n * (n + 1))
+            self.assert_carried_equals_evaluated(lsq.extremal_function(n, params), n, params)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("name", ["exp", "sin3", "poly:0.5,-1.5,0.25,2.0"])
+    def test_sweep_convergence_cells(self, name, alpha):
+        f = registry.resolve(name)
+        for n in range(1, 31):
+            self.assert_carried_equals_evaluated(f, n, hahn.HahnParams(alpha, alpha, 2 * n * (n + 1)))
+
+    @pytest.mark.filterwarnings("ignore::hahn_lsq.errors.NumericalRangeWarning")
+    def test_fit_large_round(self):
+        cells = _fit_large_cells()
+        assert sum(not params.symmetric for _, _, params in cells) == 4
+        for name, n, params in cells:
+            self.assert_carried_equals_evaluated(registry.resolve(name), n, params)
+
+    def test_only_fit_hahn_sets_the_values(self):
+        fit = lsq.fit_hahn(registry.resolve("exp"), 6, hahn.HahnParams(0.5, 0.5, 84))
+        assert fit.chebyshev_values.shape == (7,)
+        with pytest.raises(ValueError):
+            fit.chebyshev_values[0] = 0.0
+        assert dataclasses.replace(fit, coefficients=fit.coefficients[::-1]).chebyshev_values is None
+        twin = lsq.Approximant(fit.params, 6, fit.coefficients)
+        assert fit == twin and hash(fit) == hash(twin) and repr(fit) == repr(twin)
+        with pytest.raises(TypeError):
+            lsq.Approximant(fit.params, 6, fit.coefficients, fit.chebyshev_values)
+
+    def test_sup_error_evaluates_only_a_hand_built_approximant(self, monkeypatch):
+        f, params = registry.resolve("sin3"), hahn.HahnParams(0.0, 0.0, 40)
+        fit = lsq.fit_hahn(f, 4, params)
+        calls = []
+        evaluate = lsq.evaluate
+        monkeypatch.setattr(lsq, "evaluate", lambda a, t: calls.append(a) or evaluate(a, t))
+        lsq.sup_error(f, fit)
+        assert calls == []
+        lsq.sup_error(f, lsq.Approximant(params, 4, fit.coefficients))
+        assert len(calls) == 1
+
+    def test_fit_builds_no_cosine_matrix(self):
+        before = lsq._chebyshev_matrix.cache_info()
+        lsq.fit_hahn(registry.resolve("exp"), 37, hahn.HahnParams(0.25, 0.25, 2 * 37 * 38))
+        assert lsq._chebyshev_matrix.cache_info() == before
+
+    def test_rows_and_norms_share_one_coefficient_build(self):
+        hahn._recurrence_coefficients.cache_clear()
+        cli._fit_report(registry.resolve("exp"), 12, hahn.HahnParams(0.375, 0.375, 312))
+        assert hahn._recurrence_coefficients.cache_info().misses == 1
 
 
 class TestExtremalFunction:

@@ -74,8 +74,9 @@ def test_large_degree_column_equals_one_point_table(n, N, alpha):
 @pytest.mark.parametrize("n, N", [(41, 2 * 41 * 42), (4, 10**4 + 1)])
 def test_fits_past_the_validated_range_still_warn(n, N):
     # the polish sums Chebyshev coefficients by Clenshaw's recurrence and
-    # checks no range; the projection table in fit_hahn and `evaluate` at
-    # the n+1 Chebyshev points in sup_error must still warn
+    # checks no range, and a fit carries its values at the n+1 Chebyshev
+    # points, so no table is built there: fit_hahn's walk and sup_error's
+    # own range check on the carried values must still warn
     params = hahn.HahnParams(0.0, 0.0, N)
     f = registry.resolve("exp")
     with pytest.warns(errors.NumericalRangeWarning):
