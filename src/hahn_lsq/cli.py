@@ -9,7 +9,8 @@ Commands
     compare      discrete vs continuous constants and their ratio
 
 Exit codes: 0 success, 2 configuration or parameter problems, 3 degree
-threshold violations, 4 numerical instability.
+threshold violations, 4 numerical instability, 141 a reader that closed
+the output pipe.
 
 Of the package, this module imports only `bounds` and `errors` when it
 loads.  numpy and the modules built on it (`hahn`, `lsq`, `registry`)
@@ -21,10 +22,11 @@ import argparse
 import copy
 import functools
 import math
+import os
 import re
 import sys
 from dataclasses import fields
-from itertools import chain, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 
 from . import bounds as bnd
 from .errors import (
@@ -36,6 +38,8 @@ from .errors import (
 )
 
 SHARPNESS_GAP_TOL = 1e-8
+# 128 + SIGPIPE: a shell's status for a writer whose reader closed the pipe
+CLOSED_PIPE_EXIT = 141
 # the largest grid a command builds; bounds.py calls grids up to it safe
 MAX_NODES = 10**6
 
@@ -337,35 +341,176 @@ def _format_cell(value):
 
 
 def _chunks(rows):
+    if type(rows) is list and len(rows) <= _CHUNK_ROWS:
+        return [rows] if rows else []  # a table of one chunk, as most are
+    return _chunked(rows)
+
+
+def _chunked(rows):
     rows = iter(rows)
     while chunk := list(islice(rows, _CHUNK_ROWS)):
         yield chunk
 
 
+class _Layout:
+    """How one output format lays out a row of cells as text.
+
+    A row is open, then, for each column, its head and the text of its
+    cell, then close; rows are joined by sep.  heads(columns) gives the
+    heads, literal(value) the text of an int, str or None cell, and
+    texts(column, kind) the texts of a column's cells, kind being their
+    one type or else object.
+    """
+
+    def __init__(self, heads, open_, close, sep, literal, texts):
+        self.heads, self.open, self.close, self.sep = heads, open_, close, sep
+        self.literal, self.texts = literal, texts
+
+
+# the cell types whose column, holding one value, is folded into a template;
+# a column of None cells always is
+_FOLDED = (int, str)
+_LIVE = object()  # a column that is not folded
+
+
+def _kind(column):
+    """The type of a column's cells, or object if they are of several."""
+    kinds = set(map(type, column))
+    return kinds.pop() if len(kinds) == 1 else object
+
+
+@functools.lru_cache(maxsize=256)
+def _row_template(layout, columns, kinds, consts):
+    """The % template of one row; a mask over its arguments of those that
+    are floats; the indices of the columns it takes as texts; and a mask
+    over the columns of those it takes, None if it takes every cell as
+    it is.  consts holds each folded column's value and _LIVE for the
+    others, or is None if only None columns are folded."""
+    parts, floats, texted, live = [layout.sep, layout.open], [], [], []
+    heads = layout.heads(columns)
+    for j, (head, kind, const) in enumerate(zip(heads, kinds, consts or repeat(_LIVE))):
+        if kind is type(None):
+            const = None
+        live.append(const is _LIVE)
+        if const is not _LIVE:
+            directive = layout.literal(const).replace("%", "%%")
+        else:
+            floats.append(kind is float)
+            if kind is float:
+                directive = "%r"  # float.__repr__, as _format_cell and json print it
+            elif kind is int:
+                directive = "%d"
+            else:
+                texted.append(j)
+                directive = "%s"
+        parts += head.replace("%", "%%"), directive
+    parts.append(layout.close)
+    if all(live) and not texted:
+        live = None
+    return "".join(parts), floats, texted, live
+
+
+def _render_chunk(chunk, layout, columns):
+    """A chunk of rows as one string, through one % template.
+
+    Each column is classified once, by the exact types of its cells.  A
+    float column is checked finite and printed by %r.  An int, str or
+    None column holding one value is folded into the template as
+    literal(value).  Any other int column is printed by %d, and any
+    other column, mixed or of another type, by %s of its texts.
+    """
+    if len(chunk) > 1:
+        by_column = list(zip(*chunk))
+        kinds = tuple(map(_kind, by_column))
+        consts = tuple(
+            c[0] if k in _FOLDED and c.count(c[0]) == len(c) else _LIVE
+            for k, c in zip(kinds, by_column)
+        )
+    else:
+        # a lone row's cells give its columns' kinds, and folding saves nothing
+        by_column, kinds, consts = None, tuple(map(type, chunk[0])), None
+    row, floats, texted, live = _row_template(layout, columns, kinds, consts)
+    if live is None:
+        # every cell printed as it is: the rows' cells in turn
+        cells = tuple(chunk[0]) if len(chunk) == 1 else tuple(chain.from_iterable(chunk))
+    else:
+        by_column = by_column or list(zip(*chunk))
+        for j in texted:
+            by_column[j] = layout.texts(by_column[j], kinds[j])
+        cells = tuple(chain.from_iterable(zip(*compress(by_column, live))))
+    if not all(map(math.isfinite, compress(cells, floats * len(chunk)))):
+        raise InstabilityError(_NONFINITE)
+    # every row but the first starts with sep
+    return (row * len(chunk))[len(layout.sep) :] % cells
+
+
+def _csv_heads(columns):
+    return ("",) + (",",) * (len(columns) - 1)
+
+
+def _csv_texts(column, kind):
+    return column if kind is str else list(map(_format_cell, column))
+
+
+_CSV = _Layout(_csv_heads, "", "\n", "", _format_cell, _csv_texts)
+
+
 def render_csv(columns, rows):
     """The CSV table as a list of strings, one per chunk of rows."""
+    columns = tuple(columns)
     pieces = [",".join(columns) + "\n"]
     for chunk in _chunks(rows):
-        pieces.append("\n".join([",".join(map(_format_cell, row)) for row in chunk]) + "\n")
+        pieces.append(_render_chunk(chunk, _CSV, columns))
     return pieces
+
+
+def _json_dumps(value):
+    import json
+
+    try:
+        return json.dumps(value, allow_nan=False)
+    except ValueError as exc:  # allow_nan=False refuses inf and nan
+        raise InstabilityError(_NONFINITE) from exc
+
+
+def _json_literal(value):
+    from json.encoder import encode_basestring_ascii
+
+    if value is None:
+        return "null"
+    return encode_basestring_ascii(value) if type(value) is str else repr(value)
+
+
+def _json_heads(columns):
+    keys = [_json_literal(name) + ": " for name in columns]
+    return keys[:1] + [", " + key for key in keys[1:]]
+
+
+def _json_texts(column, kind):
+    from json.encoder import encode_basestring_ascii
+
+    if kind is str:
+        return list(map(encode_basestring_ascii, column))
+    # one dumps for the whole column; no number's text holds ", "
+    cells = _json_dumps(column)[1:-1].split(", ")
+    if len(cells) != len(column):  # some cell's own text does
+        cells = list(map(_json_dumps, column))
+    return cells
+
+
+_JSON = _Layout(_json_heads, "{", "}", ", ", _json_literal, _json_texts)
 
 
 def render_json(config, columns, rows):
     """The JSON object as a list of strings: the text up to the rows' "[",
     one string per chunk of rows, and the rest."""
-    import json
-
-    try:
-        payload = {"config": vars(config), "columns": columns, "rows": []}
-        empty = json.dumps(payload, allow_nan=False)
-        pieces = [empty[:-2]]
-        for chunk in _chunks(rows):
-            if len(pieces) > 1:
-                pieces.append(", ")
-            rendered = json.dumps([dict(zip(columns, row)) for row in chunk], allow_nan=False)
-            pieces.append(rendered[1:-1])
-    except ValueError as exc:  # allow_nan=False refuses inf and nan
-        raise InstabilityError(_NONFINITE) from exc
+    columns = tuple(columns)
+    empty = _json_dumps({"config": vars(config), "columns": columns, "rows": []})
+    pieces = [empty[:-2]]
+    for chunk in _chunks(rows):
+        if len(pieces) > 1:
+            pieces.append(", ")
+        pieces.append(_render_chunk(chunk, _JSON, columns))
     pieces.append(empty[-2:] + "\n")
     return pieces
 
@@ -373,6 +518,8 @@ def render_json(config, columns, rows):
 def _write_output(pieces, path):
     if path is None:
         sys.stdout.writelines(pieces)
+        # a reader that has closed the pipe fails here, not at exit
+        sys.stdout.flush()
         return
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -408,4 +555,13 @@ def main(argv=None):
     except HahnLsqError as exc:
         print(f"{exc.prefix}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # the reader closed stdout, as `| head` does.  Point it at devnull,
+        # so that the interpreter's flush at exit fails no more (see the
+        # signal module's "Note on SIGPIPE"), and exit as a shell reports
+        # a writer that SIGPIPE ended
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return CLOSED_PIPE_EXIT
     return 0

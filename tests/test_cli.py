@@ -36,6 +36,24 @@ GOLDEN_RUNS = [
     ),
 ]
 
+# README's shell examples, with any --format dropped
+README_EXAMPLES = [
+    [arg for arg in line.split()[1:] if arg not in ("--format", "json")]
+    for line in (pathlib.Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    if line.startswith("hahn-lsq ") and "<" not in line and "--out" not in line
+]
+# one op of each command the benchmark's workloads run (bench/workloads.py)
+WORKLOAD_OPS = [
+    ["convergence", "--function", "sin3", "--alpha", "0.5", "--n", "17"],
+    ["sharpness", "--alpha", "2.0", "--n", "11"],
+    ["fit", "--function", "runge", "--alpha", "0.6243", "--nodes", "5074", "--n", "50"],
+    ["fit", "--function", "exp", "--alpha", "1.2262", "--beta", "0.3097", "--nodes", "3233",
+     "--n", "40"],
+    ["bounds", "--alpha", "3.0", "--n-range", "106..140"],
+    ["compare", "--alpha", "1.0", "--n-range", "36..70"],
+    ["basis", "--alpha", "0.5", "--nodes", "400", "--n", "20"],
+]
+
 # sup|f^(30)| = 30! 1e300 overflows a double
 POLY_1E300 = "poly:" + "0," * 30 + "1e300"
 SIN_1E20 = "sin1" + "0" * 20
@@ -1048,6 +1066,36 @@ class TestEmission:
         assert runs[0] == runs[1]
         assert b"\r" not in runs[0]
 
+    def test_closed_pipe_exits_quietly(self):
+        # about 600 KB, more than a pipe holds: the child is still writing
+        # when the reader closes the pipe after the first line
+        paths = [str(pathlib.Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        cmd = [sys.executable, "-m", "hahn_lsq", "basis", "--alpha", "0.5", "--nodes", "400",
+               "--n", "20"]
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            assert proc.stdout.readline() == b"kind,deg,idx,value\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert code == cli.CLOSED_PIPE_EXIT == 141
+        assert err == b""  # no traceback
+
+    @pytest.mark.parametrize("args", README_EXAMPLES + WORKLOAD_OPS, ids=" ".join)
+    def test_json_is_what_json_dumps_prints(self, args, capsys):
+        # the rows are assembled by hand; a round trip through json must
+        # give back the same bytes.  fit-large's fits past n = 40 warn that
+        # they leave the validated range
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", errors.NumericalRangeWarning)
+            code, out, err = run_cli(args + ["--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        assert json.dumps(json.loads(out), allow_nan=False) + "\n" == out
+
 
 def one_shot_csv(columns, rows):
     lines = [",".join(columns)] + [",".join(map(cli._format_cell, row)) for row in rows]
@@ -1069,6 +1117,32 @@ def synthetic_rows(count):
         (f"r{i}", i, None if i % 3 == 0 else -i, i / 7 - 1e-300 * (i % 5))
         for i in range(count)
     ]
+
+
+# str cells that json escapes, or that a % or str.format template would read
+AWKWARD_TEXT = ('say "hi"', "back\\slash", "bell\x07", "naïve €", "100%", "%s%d", "{}", "{0}",
+                "a, b", "inf", "nan")
+# floats around the points where repr switches to exponent form
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, 1e16, 9999999999999998.0, 1e-05, 0.0001, 1e22,
+               -1.5e-300, 1.7976931348623157e308)
+MIXED_COLUMNS = ("const_str", "const_int", "almost_int", "almost_str", "int_none",
+                 "float_none", "all_none", "np_float", "flag", "text", "edge",
+                 'folded "%s" {}', "naïve%")
+
+
+def mixed_rows(count, chunk):
+    # every class of column the renderer tells apart; the almost_ columns
+    # are constant except in each chunk's last cell
+    rows = []
+    for i in range(count):
+        last = (i + 1) % chunk == 0 or i == count - 1
+        rows.append((
+            "weight", 7, 4 if last else 3, "end" if last else "body",
+            None if i % 2 else i, None if i % 3 == 1 else i / 3 - 2.5, None,
+            np.float64(i / 7), i % 2 == 0, AWKWARD_TEXT[i % len(AWKWARD_TEXT)],
+            EDGE_FLOATS[i % len(EDGE_FLOATS)], "p%d {} \"q\"", -i,
+        ))
+    return rows
 
 
 class TestChunkedEmission:
@@ -1097,6 +1171,53 @@ class TestChunkedEmission:
         text = "".join(pieces)
         assert text == one_shot_json(config, self.COLUMNS, rows)
         assert len(json.loads(text)["rows"]) == count
+
+    @pytest.mark.parametrize(
+        "count", [1, 2, CHUNK, CHUNK + 1, 2 * CHUNK + 3],
+        ids=["one", "two", "chunk", "chunk+1", "several-chunks"],
+    )
+    def test_every_class_of_column_gives_one_shot_bytes(self, count):
+        rows = mixed_rows(count, self.CHUNK)
+        config = cli.build_parser().parse_args(["bounds", "--n", "1"])
+        text = "".join(cli.render_csv(MIXED_COLUMNS, iter(rows)))
+        assert text == one_shot_csv(MIXED_COLUMNS, rows)
+        text = "".join(cli.render_json(config, MIXED_COLUMNS, iter(rows)))
+        assert text == one_shot_json(config, MIXED_COLUMNS, rows)
+
+    @pytest.mark.parametrize("count", [1, 3, CHUNK + 1], ids=["one", "three", "chunk+1"])
+    @pytest.mark.parametrize("column", range(len(MIXED_COLUMNS)), ids=MIXED_COLUMNS)
+    def test_a_column_alone_gives_one_shot_bytes(self, column, count):
+        # each class of column as the only column, so that it alone makes
+        # the template; in a lone row every column is its own constant
+        rows = [(row[column],) for row in mixed_rows(count, self.CHUNK)]
+        columns = MIXED_COLUMNS[column : column + 1]
+        config = cli.build_parser().parse_args(["bounds", "--n", "1"])
+        assert "".join(cli.render_csv(columns, rows)) == one_shot_csv(columns, rows)
+        assert "".join(cli.render_json(config, columns, rows)) == one_shot_json(
+            config, columns, rows
+        )
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "column",
+        [
+            [math.inf] * 5,
+            [-math.inf],
+            [math.nan] * 3,
+            [1.0, None, math.inf],
+            [np.float64(math.inf)] * 4,
+            [np.float64(2.0), math.nan],
+        ],
+        ids=["inf-constant", "-inf-lone-row", "nan-constant", "float-none-mix", "np-inf",
+             "np-float-mix"],
+    )
+    def test_non_finite_column_writes_nothing(self, fmt, column, monkeypatch, capsys):
+        # a column that holds one value is checked as much as any other
+        rows = [("weight", 7, cell) for cell in column]
+        monkeypatch.setitem(cli._COMMANDS, "bounds", lambda config: (("a", "b", "c"), rows, None))
+        code, out, err = run_cli(["bounds", "--n", "1", "--format", fmt], capsys)
+        assert (code, out) == (4, "")
+        assert err == "numerical instability: an output cell is inf or nan\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
