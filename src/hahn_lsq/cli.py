@@ -26,7 +26,7 @@ import os
 import re
 import sys
 from dataclasses import fields
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, count, islice, repeat
 
 from . import bounds as bnd
 from .errors import (
@@ -341,127 +341,59 @@ def _format_cell(value):
 
 
 def _chunks(rows):
-    if type(rows) is list and len(rows) <= _CHUNK_ROWS:
-        return [rows] if rows else []  # a table of one chunk, as most are
-    return _chunked(rows)
-
-
-def _chunked(rows):
     rows = iter(rows)
     while chunk := list(islice(rows, _CHUNK_ROWS)):
         yield chunk
 
 
-class _Layout:
-    """How one output format lays out a row of cells as text.
+def _render(rows, heads, close, sep, literal, texts):
+    """Each chunk of rows as one string, through one % template.
 
-    A row is open, then, for each column, its head and the text of its
-    cell, then close; rows are joined by sep.  heads(columns) gives the
-    heads, literal(value) the text of an int, str or None cell, and
-    texts(column, kind) the texts of a column's cells, kind being their
-    one type or else object.
+    A row is, for each column, its head and the text of its cell, then
+    close; rows are joined by sep.  The template is built per chunk in
+    one pass over its columns, each classified by the exact types of its
+    cells.  A float column is checked finite and printed by %r, which is
+    float.__repr__, as _format_cell and json print it.  A None column is
+    folded into the template as literal(None), and so is an int or str
+    column holding one value in a chunk of more than one row.  Any other
+    int column is printed by %d, and any other column by %s of
+    texts(column, kind), kind being its cells' one type or else object.
     """
-
-    def __init__(self, heads, open_, close, sep, literal, texts):
-        self.heads, self.open, self.close, self.sep = heads, open_, close, sep
-        self.literal, self.texts = literal, texts
-
-
-# the cell types whose column, holding one value, is folded into a template;
-# a column of None cells always is
-_FOLDED = (int, str)
-_LIVE = object()  # a column that is not folded
-
-
-def _kind(column):
-    """The type of a column's cells, or object if they are of several."""
-    kinds = set(map(type, column))
-    return kinds.pop() if len(kinds) == 1 else object
-
-
-@functools.lru_cache(maxsize=256)
-def _row_template(layout, columns, kinds, consts):
-    """The % template of one row; a mask over its arguments of those that
-    are floats; the indices of the columns it takes as texts; and a mask
-    over the columns of those it takes, None if it takes every cell as
-    it is.  consts holds each folded column's value and _LIVE for the
-    others, or is None if only None columns are folded."""
-    parts, floats, texted, live = [layout.sep, layout.open], [], [], []
-    heads = layout.heads(columns)
-    for j, (head, kind, const) in enumerate(zip(heads, kinds, consts or repeat(_LIVE))):
-        if kind is type(None):
-            const = None
-        live.append(const is _LIVE)
-        if const is not _LIVE:
-            directive = layout.literal(const).replace("%", "%%")
-        else:
-            floats.append(kind is float)
-            if kind is float:
-                directive = "%r"  # float.__repr__, as _format_cell and json print it
+    heads = [head.replace("%", "%%") for head in heads]
+    for chunk in _chunks(rows):
+        parts, live = [], []
+        for head, column in zip(heads, zip(*chunk)):
+            kinds = set(map(type, column))
+            kind = kinds.pop() if len(kinds) == 1 else object
+            if kind is type(None) or (
+                kind in (int, str) and len(chunk) > 1 and column.count(column[0]) == len(chunk)
+            ):
+                directive = literal(column[0]).replace("%", "%%")
+            elif kind is float:
+                if not all(map(math.isfinite, column)):
+                    raise InstabilityError(_NONFINITE)
+                directive = "%r"
+                live.append(column)
             elif kind is int:
                 directive = "%d"
+                live.append(column)
             else:
-                texted.append(j)
                 directive = "%s"
-        parts += head.replace("%", "%%"), directive
-    parts.append(layout.close)
-    if all(live) and not texted:
-        live = None
-    return "".join(parts), floats, texted, live
-
-
-def _render_chunk(chunk, layout, columns):
-    """A chunk of rows as one string, through one % template.
-
-    Each column is classified once, by the exact types of its cells.  A
-    float column is checked finite and printed by %r.  An int, str or
-    None column holding one value is folded into the template as
-    literal(value).  Any other int column is printed by %d, and any
-    other column, mixed or of another type, by %s of its texts.
-    """
-    if len(chunk) > 1:
-        by_column = list(zip(*chunk))
-        kinds = tuple(map(_kind, by_column))
-        consts = tuple(
-            c[0] if k in _FOLDED and c.count(c[0]) == len(c) else _LIVE
-            for k, c in zip(kinds, by_column)
-        )
-    else:
-        # a lone row's cells give its columns' kinds, and folding saves nothing
-        by_column, kinds, consts = None, tuple(map(type, chunk[0])), None
-    row, floats, texted, live = _row_template(layout, columns, kinds, consts)
-    if live is None:
-        # every cell printed as it is: the rows' cells in turn
-        cells = tuple(chunk[0]) if len(chunk) == 1 else tuple(chain.from_iterable(chunk))
-    else:
-        by_column = by_column or list(zip(*chunk))
-        for j in texted:
-            by_column[j] = layout.texts(by_column[j], kinds[j])
-        cells = tuple(chain.from_iterable(zip(*compress(by_column, live))))
-    if not all(map(math.isfinite, compress(cells, floats * len(chunk)))):
-        raise InstabilityError(_NONFINITE)
-    # every row but the first starts with sep
-    return (row * len(chunk))[len(layout.sep) :] % cells
-
-
-def _csv_heads(columns):
-    return ("",) + (",",) * (len(columns) - 1)
+                live.append(texts(column, kind))
+            parts += head, directive
+        parts.append(close)
+        yield sep.join(["".join(parts)] * len(chunk)) % tuple(chain.from_iterable(zip(*live)))
 
 
 def _csv_texts(column, kind):
     return column if kind is str else list(map(_format_cell, column))
 
 
-_CSV = _Layout(_csv_heads, "", "\n", "", _format_cell, _csv_texts)
-
-
 def render_csv(columns, rows):
     """The CSV table as a list of strings, one per chunk of rows."""
     columns = tuple(columns)
-    pieces = [",".join(columns) + "\n"]
-    for chunk in _chunks(rows):
-        pieces.append(_render_chunk(chunk, _CSV, columns))
-    return pieces
+    heads = [""] + [","] * (len(columns) - 1)
+    return [",".join(columns) + "\n", *_render(rows, heads, "\n", "", _format_cell, _csv_texts)]
 
 
 def _json_dumps(value):
@@ -481,11 +413,6 @@ def _json_literal(value):
     return encode_basestring_ascii(value) if type(value) is str else repr(value)
 
 
-def _json_heads(columns):
-    keys = [_json_literal(name) + ": " for name in columns]
-    return keys[:1] + [", " + key for key in keys[1:]]
-
-
 def _json_texts(column, kind):
     from json.encoder import encode_basestring_ascii
 
@@ -498,19 +425,19 @@ def _json_texts(column, kind):
     return cells
 
 
-_JSON = _Layout(_json_heads, "{", "}", ", ", _json_literal, _json_texts)
-
-
 def render_json(config, columns, rows):
     """The JSON object as a list of strings: the text up to the rows' "[",
     one string per chunk of rows, and the rest."""
+    from json.encoder import encode_basestring_ascii as key
+
     columns = tuple(columns)
     empty = _json_dumps({"config": vars(config), "columns": columns, "rows": []})
+    heads = [(", " if j else "{") + key(name) + ": " for j, name in enumerate(columns)]
     pieces = [empty[:-2]]
-    for chunk in _chunks(rows):
+    for chunk in _render(rows, heads, "}", ", ", _json_literal, _json_texts):
         if len(pieces) > 1:
             pieces.append(", ")
-        pieces.append(_render_chunk(chunk, _JSON, columns))
+        pieces.append(chunk)
     pieces.append(empty[-2:] + "\n")
     return pieces
 

@@ -1088,13 +1088,21 @@ class TestEmission:
     @pytest.mark.parametrize("args", README_EXAMPLES + WORKLOAD_OPS, ids=" ".join)
     def test_json_is_what_json_dumps_prints(self, args, capsys):
         # the rows are assembled by hand; a round trip through json must
-        # give back the same bytes.  fit-large's fits past n = 40 warn that
+        # give back the same bytes, and each format must be the bytes of a
+        # one-shot render of the command's own rows.  basis at N = 400
+        # crosses 35 chunk boundaries, so folding a column must not depend
+        # on where a chunk starts.  fit-large's fits past n = 40 warn that
         # they leave the validated range
+        config = cli.build_parser().parse_args(args + ["--format", "json"])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", errors.NumericalRangeWarning)
             code, out, err = run_cli(args + ["--format", "json"], capsys)
+            columns, rows, _ = cli._COMMANDS[config.command](config)
+        rows = list(rows)
         assert (code, err) == (0, "")
         assert json.dumps(json.loads(out), allow_nan=False) + "\n" == out
+        assert out == one_shot_json(config, columns, rows)
+        assert "".join(cli.render_csv(columns, iter(rows))) == one_shot_csv(columns, rows)
 
 
 def one_shot_csv(columns, rows):
@@ -1127,12 +1135,14 @@ EDGE_FLOATS = (-0.0, 0.0, 5e-324, 1e16, 9999999999999998.0, 1e-05, 0.0001, 1e22,
                -1.5e-300, 1.7976931348623157e308)
 MIXED_COLUMNS = ("const_str", "const_int", "almost_int", "almost_str", "int_none",
                  "float_none", "all_none", "np_float", "flag", "text", "edge",
-                 'folded "%s" {}', "naïve%")
+                 'folded "%s" {}', "naïve%", "const_flag", "const_np_float")
 
 
 def mixed_rows(count, chunk):
     # every class of column the renderer tells apart; the almost_ columns
-    # are constant except in each chunk's last cell
+    # are constant except in each chunk's last cell.  Only an exact int or
+    # str is folded: a folded True would print True in JSON, not true, and
+    # a numpy float's repr is not its float's
     rows = []
     for i in range(count):
         last = (i + 1) % chunk == 0 or i == count - 1
@@ -1140,7 +1150,7 @@ def mixed_rows(count, chunk):
             "weight", 7, 4 if last else 3, "end" if last else "body",
             None if i % 2 else i, None if i % 3 == 1 else i / 3 - 2.5, None,
             np.float64(i / 7), i % 2 == 0, AWKWARD_TEXT[i % len(AWKWARD_TEXT)],
-            EDGE_FLOATS[i % len(EDGE_FLOATS)], "p%d {} \"q\"", -i,
+            EDGE_FLOATS[i % len(EDGE_FLOATS)], "p%d {} \"q\"", -i, True, np.float64(0.5),
         ))
     return rows
 
@@ -1188,7 +1198,7 @@ class TestChunkedEmission:
     @pytest.mark.parametrize("column", range(len(MIXED_COLUMNS)), ids=MIXED_COLUMNS)
     def test_a_column_alone_gives_one_shot_bytes(self, column, count):
         # each class of column as the only column, so that it alone makes
-        # the template; in a lone row every column is its own constant
+        # the template; a lone row folds only a None column
         rows = [(row[column],) for row in mixed_rows(count, self.CHUNK)]
         columns = MIXED_COLUMNS[column : column + 1]
         config = cli.build_parser().parse_args(["bounds", "--n", "1"])
