@@ -340,27 +340,22 @@ def _format_cell(value):
     return str(value)
 
 
-def _chunks(rows):
-    rows = iter(rows)
-    while chunk := list(islice(rows, _CHUNK_ROWS)):
-        yield chunk
-
-
-def _render(rows, heads, close, sep, literal, texts):
+def _render(rows, heads, close, sep, texts):
     """Each chunk of rows as one string, through one % template.
 
     A row is, for each column, its head and the text of its cell, then
     close; rows are joined by sep.  The template is built per chunk in
-    one pass over its columns, each classified by the exact types of its
-    cells.  A float column is checked finite and printed by %r, which is
-    float.__repr__, as _format_cell and json print it.  A None column is
-    folded into the template as literal(None), and so is an int or str
-    column holding one value in a chunk of more than one row.  Any other
-    int column is printed by %d, and any other column by %s of
-    texts(column, kind), kind being its cells' one type or else object.
+    one pass over its columns, each of one kind: its cells' one exact
+    type, or else object.  A float column is checked finite and printed
+    by %r, which is float.__repr__, as _format_cell and json print it.
+    A None column is folded into the template as the text its format
+    gives its first cell, texts(column[:1], kind)[0], and so is an int or
+    str column holding one value in a chunk of more than one row.  Any
+    other int column is printed by %d, and any other by %s of texts.
     """
     heads = [head.replace("%", "%%") for head in heads]
-    for chunk in _chunks(rows):
+    rows = iter(rows)
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
         parts, live = [], []
         for head, column in zip(heads, zip(*chunk)):
             kinds = set(map(type, column))
@@ -368,7 +363,7 @@ def _render(rows, heads, close, sep, literal, texts):
             if kind is type(None) or (
                 kind in (int, str) and len(chunk) > 1 and column.count(column[0]) == len(chunk)
             ):
-                directive = literal(column[0]).replace("%", "%%")
+                directive = texts(column[:1], kind)[0].replace("%", "%%")
             elif kind is float:
                 if not all(map(math.isfinite, column)):
                     raise InstabilityError(_NONFINITE)
@@ -393,7 +388,7 @@ def render_csv(columns, rows):
     """The CSV table as a list of strings, one per chunk of rows."""
     columns = tuple(columns)
     heads = [""] + [","] * (len(columns) - 1)
-    return [",".join(columns) + "\n", *_render(rows, heads, "\n", "", _format_cell, _csv_texts)]
+    return [",".join(columns) + "\n", *_render(rows, heads, "\n", "", _csv_texts)]
 
 
 def _json_dumps(value):
@@ -403,14 +398,6 @@ def _json_dumps(value):
         return json.dumps(value, allow_nan=False)
     except ValueError as exc:  # allow_nan=False refuses inf and nan
         raise InstabilityError(_NONFINITE) from exc
-
-
-def _json_literal(value):
-    from json.encoder import encode_basestring_ascii
-
-    if value is None:
-        return "null"
-    return encode_basestring_ascii(value) if type(value) is str else repr(value)
 
 
 def _json_texts(column, kind):
@@ -434,7 +421,7 @@ def render_json(config, columns, rows):
     empty = _json_dumps({"config": vars(config), "columns": columns, "rows": []})
     heads = [(", " if j else "{") + key(name) + ": " for j, name in enumerate(columns)]
     pieces = [empty[:-2]]
-    for chunk in _render(rows, heads, "}", ", ", _json_literal, _json_texts):
+    for chunk in _render(rows, heads, "}", ", ", _json_texts):
         if len(pieces) > 1:
             pieces.append(", ")
         pieces.append(chunk)

@@ -22,9 +22,9 @@ def polynomial_function(coefficients, name=None):
     """FunctionSpec for c0 + c1 t + c2 t^2 + ...
 
     The derivative sup is the certified upper bound
-    sum_{j>=m} |c_j| j!/(j-m)!, exact zero beyond the degree.  The
-    parity is even or odd when the nonzero coefficients all sit at even
-    or all at odd powers: Horner's rule then gives f(-t) = +-f(t) exactly.
+    sum_{j>=m} |c_j| j!/(j-m)!, exact zero beyond the degree.  No parity
+    is declared; a caller who knows one, and that the evaluator keeps it
+    bit for bit, declares it with dataclasses.replace(spec, parity=p).
     """
     coeffs = [float(c) for c in coefficients]
     if not coeffs:
@@ -43,12 +43,7 @@ def polynomial_function(coefficients, name=None):
             total += abs(coeffs[j]) * math.perm(j, order)
         return total
 
-    parity = None
-    if not any(coeffs[1::2]):
-        parity = 1
-    elif not any(coeffs[0::2]):
-        parity = -1
-    return FunctionSpec(name, evaluator, derivative_sup, parity)
+    return FunctionSpec(name, evaluator, derivative_sup)
 
 
 def sine_function(k):
@@ -59,7 +54,7 @@ def sine_function(k):
     def evaluator(t):
         return np.sin(k * np.asarray(t, dtype=float))
 
-    return FunctionSpec(f"sin{k}", evaluator, lambda order: float(k) ** order, parity=-1)
+    return FunctionSpec(f"sin{k}", evaluator, lambda order: float(k) ** order)
 
 
 def _exp_spec():
@@ -73,7 +68,7 @@ def _runge_spec():
         arr = np.asarray(t, dtype=float)
         return 1.0 / (1.0 + 25.0 * arr * arr)
 
-    return FunctionSpec("runge", evaluator, None, parity=1)
+    return FunctionSpec("runge", evaluator, None)
 
 
 def resolve(name, params=None):

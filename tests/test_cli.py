@@ -1100,9 +1100,19 @@ class TestEmission:
             columns, rows, _ = cli._COMMANDS[config.command](config)
         rows = list(rows)
         assert (code, err) == (0, "")
-        assert json.dumps(json.loads(out), allow_nan=False) + "\n" == out
-        assert out == one_shot_json(config, columns, rows)
-        assert "".join(cli.render_csv(columns, iter(rows))) == one_shot_csv(columns, rows)
+        assert_same_text(out, json.dumps(json.loads(out), allow_nan=False) + "\n")
+        assert_same_text(out, one_shot_json(config, columns, rows))
+        assert_same_text("".join(cli.render_csv(columns, iter(rows))), one_shot_csv(columns, rows))
+
+
+def assert_same_text(text, expected):
+    """text == expected, failing on about 40 characters around the first
+    offset where they differ: pytest's diff of two long texts takes
+    minutes."""
+    if text != expected:
+        at = len(os.path.commonprefix([text, expected]))
+        window = slice(max(at - 20, 0), at + 20)
+        assert text[window] == expected[window], f"first difference at offset {at}"
 
 
 def one_shot_csv(columns, rows):
@@ -1135,14 +1145,15 @@ EDGE_FLOATS = (-0.0, 0.0, 5e-324, 1e16, 9999999999999998.0, 1e-05, 0.0001, 1e22,
                -1.5e-300, 1.7976931348623157e308)
 MIXED_COLUMNS = ("const_str", "const_int", "almost_int", "almost_str", "int_none",
                  "float_none", "all_none", "np_float", "flag", "text", "edge",
-                 'folded "%s" {}', "naïve%", "const_flag", "const_np_float")
+                 'folded "%s" {}', "naïve%", "const_flag", "const_np_float", "text_none")
 
 
 def mixed_rows(count, chunk):
     # every class of column the renderer tells apart; the almost_ columns
     # are constant except in each chunk's last cell.  Only an exact int or
     # str is folded: a folded True would print True in JSON, not true, and
-    # a numpy float's repr is not its float's
+    # a numpy float's repr is not its float's.  text_none mixes str and
+    # None, and its "a, b" splits one json.dumps of a whole chunk's column
     rows = []
     for i in range(count):
         last = (i + 1) % chunk == 0 or i == count - 1
@@ -1151,6 +1162,7 @@ def mixed_rows(count, chunk):
             None if i % 2 else i, None if i % 3 == 1 else i / 3 - 2.5, None,
             np.float64(i / 7), i % 2 == 0, AWKWARD_TEXT[i % len(AWKWARD_TEXT)],
             EDGE_FLOATS[i % len(EDGE_FLOATS)], "p%d {} \"q\"", -i, True, np.float64(0.5),
+            None if i % 2 else AWKWARD_TEXT[i % len(AWKWARD_TEXT)],
         ))
     return rows
 
@@ -1174,12 +1186,12 @@ class TestChunkedEmission:
         chunks = -(-count // self.CHUNK)
         pieces = cli.render_csv(self.COLUMNS, iter(rows))
         assert len(pieces) == 1 + chunks
-        assert "".join(pieces) == one_shot_csv(self.COLUMNS, rows)
+        assert_same_text("".join(pieces), one_shot_csv(self.COLUMNS, rows))
         pieces = cli.render_json(config, self.COLUMNS, iter(rows))
         # head, the chunks with ", " between them, tail
         assert len(pieces) == 2 + max(2 * chunks - 1, 0)
         text = "".join(pieces)
-        assert text == one_shot_json(config, self.COLUMNS, rows)
+        assert_same_text(text, one_shot_json(config, self.COLUMNS, rows))
         assert len(json.loads(text)["rows"]) == count
 
     @pytest.mark.parametrize(
@@ -1190,9 +1202,9 @@ class TestChunkedEmission:
         rows = mixed_rows(count, self.CHUNK)
         config = cli.build_parser().parse_args(["bounds", "--n", "1"])
         text = "".join(cli.render_csv(MIXED_COLUMNS, iter(rows)))
-        assert text == one_shot_csv(MIXED_COLUMNS, rows)
+        assert_same_text(text, one_shot_csv(MIXED_COLUMNS, rows))
         text = "".join(cli.render_json(config, MIXED_COLUMNS, iter(rows)))
-        assert text == one_shot_json(config, MIXED_COLUMNS, rows)
+        assert_same_text(text, one_shot_json(config, MIXED_COLUMNS, rows))
 
     @pytest.mark.parametrize("count", [1, 3, CHUNK + 1], ids=["one", "three", "chunk+1"])
     @pytest.mark.parametrize("column", range(len(MIXED_COLUMNS)), ids=MIXED_COLUMNS)
@@ -1202,10 +1214,9 @@ class TestChunkedEmission:
         rows = [(row[column],) for row in mixed_rows(count, self.CHUNK)]
         columns = MIXED_COLUMNS[column : column + 1]
         config = cli.build_parser().parse_args(["bounds", "--n", "1"])
-        assert "".join(cli.render_csv(columns, rows)) == one_shot_csv(columns, rows)
-        assert "".join(cli.render_json(config, columns, rows)) == one_shot_json(
-            config, columns, rows
-        )
+        assert_same_text("".join(cli.render_csv(columns, rows)), one_shot_csv(columns, rows))
+        text = "".join(cli.render_json(config, columns, rows))
+        assert_same_text(text, one_shot_json(config, columns, rows))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(

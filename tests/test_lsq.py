@@ -276,9 +276,14 @@ class TestSupErrorPolish:
         assert lsq.sup_error(f, a).sup_error >= reference - 1e-13 * scale
 
 
-# targets whose registry spec declares a parity; poly:0,1,0,-2 is odd
-# and poly:1,0,3 even
-_PARITY_TARGETS = ["sin1", "sin3", "sin10", "runge", "const1", "linear", "poly:0,1,0,-2", "poly:1,0,3"]
+# registry targets that are even (1) or odd (-1) bit for bit; only the
+# sharpness witness declares its parity, so a test declares these
+_PARITY_TARGETS = {"sin1": -1, "sin3": -1, "sin10": -1, "runge": 1, "const1": 1, "linear": -1,
+                   "poly:0,1,0,-2": -1, "poly:1,0,3": 1}
+
+
+def _with_parity(name):
+    return dataclasses.replace(registry.resolve(name), parity=_PARITY_TARGETS[name])
 
 
 def _bits(x):
@@ -296,16 +301,16 @@ class TestParity:
     @pytest.mark.parametrize("name", _PARITY_TARGETS)
     def test_declared_parity_holds_bit_for_bit(self, name):
         # t = 0 is sampled, never mirrored, and -(+0.0) is -0.0
-        f = registry.resolve(name)
+        f = _with_parity(name)
         t = lsq._half_candidates()[1:]
         assert _bits(f.evaluator(-t)) == _bits(f.parity * f.evaluator(t))
 
     @pytest.mark.parametrize("alpha, beta", [(0.5, 0.5), (3.0, 0.0)])
     @pytest.mark.parametrize("name", _PARITY_TARGETS)
     def test_sup_error_equals_the_full_sample(self, name, alpha, beta):
-        f = registry.resolve(name)
+        f = _with_parity(name)
         a = lsq.fit_hahn(f, 7, hahn.HahnParams(alpha, beta, 40))
-        full = lsq.sup_error(dataclasses.replace(f, parity=None), a)
+        full = lsq.sup_error(registry.resolve(name), a)
         assert _report_bits(lsq.sup_error(f, a)) == _report_bits(full)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
@@ -318,7 +323,7 @@ class TestParity:
             assert f.parity == (-1) ** (n + 1)
             assert _report_bits(lsq.sup_error(f, a)) == _report_bits(full), n
 
-    @pytest.mark.parametrize("name", ["exp", "poly:0.5,-1.5,0.25,2.0"])
+    @pytest.mark.parametrize("name", [*_PARITY_TARGETS, "exp", "poly:0.5,-1.5,0.25,2.0"])
     def test_other_targets_declare_none(self, name):
         assert registry.resolve(name).parity is None
 
