@@ -28,7 +28,7 @@ _HOMES = {
     "HahnParams": "hahn",
     "hahn_norm_sq": "hahn",
     "hahn_table": "hahn",
-    "continuous_constant": "jacobi",
+    "continuous_constant": "bounds",
     "Approximant": "lsq",
     "ErrorReport": "lsq",
     "FunctionSpec": "lsq",

@@ -201,11 +201,17 @@ def cmd_basis(config):
     table = hahn.hahn_table(n, np.arange(params.N + 1, dtype=float), params)
     # <Q_j, Q_k> for all k > j from one product, each row summed by fsum
     residuals = []
-    for j in range(n + 1):
-        products = (table[j] * table[j + 1 :]) * w.values
-        for k, terms in enumerate(products, start=j + 1):
-            residual = math.fsum(terms.tolist()) / math.sqrt(norms[j] * norms[k])
-            residuals.append(("ortho_residual", j, k, residual))
+    with np.errstate(over="ignore"):  # an overflowed residual raises below
+        for j in range(n + 1):
+            products = (table[j] * table[j + 1 :]) * w.values
+            for k, terms in enumerate(products, start=j + 1):
+                try:
+                    residual = math.fsum(terms.tolist()) / math.sqrt(norms[j] * norms[k])
+                except (OverflowError, ValueError):  # a partial sum past the double range, or inf - inf
+                    residual = math.inf
+                if not math.isfinite(residual):
+                    raise InstabilityError(f"orthogonality residual of Q_{j} and Q_{k} overflows a double")
+                residuals.append(("ortho_residual", j, k, residual))
 
     def blocks():
         # one block of rows at a time, each a zip of C iterators: the

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hahn_lsq import bounds, errors, jacobi
+from hahn_lsq import bounds, errors
 
 
 class TestDegreeThreshold:
@@ -123,7 +123,7 @@ class TestWorstCaseConstant:
         # C_8 cancels at alpha = 1e5, but N = 10 < c3 = 17 already fails
         # the hypothesis, so the caller sees the threshold, not C_8
         with pytest.raises(errors.InstabilityError):
-            jacobi.continuous_constant(8, 1e5)
+            bounds.continuous_constant(8, 1e5)
         with pytest.raises(errors.ThresholdError, match="N=10 < c3=17"):
             bounds.worst_case_constant(8, 10, 1e5)
 
@@ -140,7 +140,7 @@ class TestWorstCaseConstant:
         # C_151(3) = 3.0e-308 is normal; on the c3 grid the grid factor
         # 0.18 takes D below the smallest normal double
         N = bounds.min_nodes(151, 3.0)[0]
-        assert jacobi.continuous_constant(151, 3.0) >= sys.float_info.min
+        assert bounds.continuous_constant(151, 3.0) >= sys.float_info.min
         assert 152 <= bounds.degree_threshold(3.0, N)
         with pytest.raises(errors.InstabilityError, match=f"D_151,{N} at alpha=3.0"):
             bounds.worst_case_constant(151, N, 3.0)
@@ -228,7 +228,7 @@ class TestFactorization:
                 if N < n + 1 or n + 1 > bounds.degree_threshold(alpha, N):
                     continue
                 left = bounds.worst_case_constant(n, N, alpha)
-                right = jacobi.continuous_constant(n, alpha) * bounds.ratio_discrete_continuous(
+                right = bounds.continuous_constant(n, alpha) * bounds.ratio_discrete_continuous(
                     n, N
                 )
                 assert left == right
@@ -238,19 +238,19 @@ class TestConstantsRow:
     def test_admissible_cell(self):
         threshold, D, C, ratio = bounds.constants_row(1, 4, 0.0)
         assert threshold == bounds.degree_threshold(0.0, 4)
-        assert (D, C, ratio) == (0.25, jacobi.continuous_constant(1, 0.0), 0.75)
+        assert (D, C, ratio) == (0.25, bounds.continuous_constant(1, 0.0), 0.75)
 
     def test_no_constant_past_the_threshold(self):
         threshold, D, C, ratio = bounds.constants_row(6, 10, 0.0)
         assert 7 > threshold
         assert D is None
         assert ratio == bounds.ratio_discrete_continuous(6, 10)
-        assert C == jacobi.continuous_constant(6, 0.0)
+        assert C == bounds.continuous_constant(6, 0.0)
 
     def test_no_ratio_past_the_grid(self):
         _, D, C, ratio = bounds.constants_row(5, 2, 0.0)
         assert D is None and ratio is None
-        assert C == jacobi.continuous_constant(5, 0.0)
+        assert C == bounds.continuous_constant(5, 0.0)
 
     @pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 3.0])
     def test_agrees_with_worst_case_constant(self, alpha):

@@ -7,18 +7,18 @@ import numpy as np
 import pytest
 
 import oracles
-from hahn_lsq import errors, jacobi
+from hahn_lsq import bounds, errors
 
 
 class TestContinuousConstant:
     def test_degree_one_legendre(self):
-        assert jacobi.continuous_constant(1, 0.0) == pytest.approx(1 / 3, rel=1e-13)
+        assert bounds.continuous_constant(1, 0.0) == pytest.approx(1 / 3, rel=1e-13)
 
     def test_legendre_rational_form(self):
         # C_n(0) = 2^(n+1) (n+1)! / (2n+2)!
         for n in range(16):
             expected = Fraction(2 ** (n + 1) * math.factorial(n + 1), math.factorial(2 * n + 2))
-            assert jacobi.continuous_constant(n, 0.0) == pytest.approx(
+            assert bounds.continuous_constant(n, 0.0) == pytest.approx(
                 float(expected), rel=1e-13
             )
 
@@ -33,7 +33,7 @@ class TestContinuousConstant:
                 lead = mpmath.binomial(2 * m + 2 * alpha, m) / mpmath.mpf(2) ** m
                 exact = mpmath.jacobi(m, alpha, alpha, 1) / (lead * mpmath.factorial(m))
                 # the lgamma sum loses about 4e-13 relative at n = 140
-                assert jacobi.continuous_constant(n, alpha) == pytest.approx(
+                assert bounds.continuous_constant(n, alpha) == pytest.approx(
                     float(exact), rel=1e-11
                 )
 
@@ -60,25 +60,25 @@ class TestContinuousConstant:
             c = np.linalg.solve(np.array(gram), np.array(moments))
             error = (ts**m - np.polynomial.polynomial.polyval(ts, c)) / math.factorial(m)
             assert np.max(np.abs(error)) == pytest.approx(
-                jacobi.continuous_constant(n, alpha), rel=1e-12
+                bounds.continuous_constant(n, alpha), rel=1e-12
             )
 
     def test_decreasing_in_degree(self):
         for alpha in (0.0, 0.5, 1.0):
-            vals = [jacobi.continuous_constant(n, alpha) for n in range(12)]
+            vals = [bounds.continuous_constant(n, alpha) for n in range(12)]
             assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_underflow_raises(self):
-        assert jacobi.continuous_constant(149, 0.5) == pytest.approx(1.8517578e-306, rel=1e-7)
+        assert bounds.continuous_constant(149, 0.5) == pytest.approx(1.8517578e-306, rel=1e-7)
         with pytest.raises(errors.InstabilityError, match="C_150 at alpha=0.5"):
-            jacobi.continuous_constant(150, 0.5)
+            bounds.continuous_constant(150, 0.5)
         with pytest.raises(errors.InstabilityError):
-            jacobi.continuous_constant(400, 0.0)
+            bounds.continuous_constant(400, 0.0)
 
     @pytest.mark.parametrize("alpha", [-0.25, 0.0, 3.0, 1e3, 1e4, 7e4])
     def test_unflagged_values_are_within_tolerance(self, alpha):
         for n in (0, 2, 70, 140):
-            value = Fraction(jacobi.continuous_constant(n, alpha))
+            value = Fraction(bounds.continuous_constant(n, alpha))
             exact = oracles.frac_continuous_constant(n, alpha)
             assert abs(value - exact) <= Fraction(1, 10**9) * exact
 
@@ -88,13 +88,13 @@ class TestContinuousConstant:
         # they give C_2 = 1.0, where C_2 tends to 1/6
         for n in (0, 2, 140):
             with pytest.raises(errors.InstabilityError, match=f"C_{n} at alpha=.*cancel"):
-                jacobi.continuous_constant(n, alpha)
+                bounds.continuous_constant(n, alpha)
 
     def test_parameter_domain(self):
         with pytest.raises(errors.ParameterError):
-            jacobi.continuous_constant(2, -0.6)
+            bounds.continuous_constant(2, -0.6)
         with pytest.raises(errors.ParameterError, match="degree must be >= 0"):
-            jacobi.continuous_constant(-1, 0.0)
+            bounds.continuous_constant(-1, 0.0)
 
 
 class TestLogGamma:
